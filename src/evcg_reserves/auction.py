@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeGuardError
+
 AUX_PREFIX = "~aux"
 
 
@@ -159,20 +161,6 @@ def add_auxiliary_buyers(dataset: BidDataset) -> BidDataset:
     )
 
 
-def strip_auxiliary_buyers(dataset: BidDataset) -> BidDataset:
-    """Inverse of :func:`add_auxiliary_buyers`."""
-    if not dataset.includes_auxiliaries:
-        raise ValueError("dataset has no auxiliary buyers")
-    n = dataset.num_real_buyers
-    return BidDataset(
-        num_items=dataset.num_items,
-        buyers=dataset.buyers[:n],
-        auctions=tuple(AuctionColumn(a.weight, a.bids[:n]) for a in dataset.auctions),
-        includes_auxiliaries=False,
-        scale=dataset.scale,
-    )
-
-
 def zero_reserves(dataset: BidDataset) -> ReserveVector:
     return (0,) * dataset.num_buyers
 
@@ -270,12 +258,21 @@ class _BatchEvaluator:
     """Vectorized exact revenue evaluation for batches of reserve vectors.
 
     Precomputes the tie-broken bid order per auction once; all arithmetic is
-    int64, so results match :func:`run_evcg` bit for bit.
+    int64, so results match :func:`run_evcg` bit for bit.  A winner pays at
+    most the auction's highest bid, so no sum can exceed
+    sum(weight * k * max bid); a dataset where that bound reaches 2^63 is
+    refused with :class:`SizeGuardError` rather than left to wrap.
     """
 
     def __init__(self, dataset: BidDataset):
         if not dataset.includes_auxiliaries:
             raise ValueError("batch evaluation requires an augmented dataset")
+        bound = sum(a.weight * dataset.num_items * max(a.bids) for a in dataset.auctions)
+        if bound >= 2**63:
+            raise SizeGuardError(
+                f"revenues up to {bound} do not fit the batch evaluator's int64 "
+                "arithmetic; rescale the dataset"
+            )
         self.dataset = dataset
         self.k = dataset.num_items
         self.weights = np.array([a.weight for a in dataset.auctions], dtype=np.int64)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen | solve | round | bench | tables | verify | probe.
-Exit codes: 0 success, 2 validation error, 3 size-guard refusal,
-4 tables-snapshot mismatch.  Reports are deterministic for a fixed seed;
+Exit codes: 0 success, 2 validation error or failed LP solve, 3 size-guard
+refusal, 4 tables-snapshot mismatch.  Reports are deterministic for a fixed seed;
 pass --timings to append wall-clock phase durations (which naturally vary
 between runs) to the written report.
 """

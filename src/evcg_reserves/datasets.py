@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .auction import AuctionColumn, BidDataset, add_auxiliary_buyers
+from .auction import AuctionColumn, BidDataset
 
 
 def parse_money(text: str, scale: int) -> int:
@@ -255,8 +255,3 @@ def correlated_dataset(
         auctions=tuple(auctions),
         scale=scale,
     )
-
-
-def load_augmented(path: str | Path) -> BidDataset:
-    """Convenience: load a raw dataset file and append auxiliary buyers."""
-    return add_auxiliary_buyers(load_dataset(path))

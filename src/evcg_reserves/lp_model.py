@@ -7,12 +7,20 @@ relaxes the integral assignment of sub-profiles subject to consistency
 constraints; any integral reserve vector embeds as a feasible point whose
 objective equals its exact revenue, which makes the LP optimum an upper
 bound for the best reserve vector.
+
+No row of that LP reads a sub-profile's supporter reserve except the
+supporter's reserve mass, so :func:`build_lp` assembles its exact
+projection: one column per winner-side sub-profile (winner, supporter,
+winner reserve), carrying the sum of the full sub-profile masses over the
+supporter reserve.  :class:`LpInstance` states the rows and why the optimum
+does not change.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -96,57 +104,86 @@ def enumerate_subprofiles(
     return out
 
 
+class WinnerProfile(NamedTuple):
+    """One LP column: a sub-profile with the supporter reserve summed out.
+
+    Revenue is ``max(supporter bid, winner reserve)``, as for every
+    sub-profile it stands for.
+    """
+
+    winner: int
+    supporter: int
+    winner_reserve: int
+    revenue: int
+
+
 @dataclass
 class LpPoint:
     """A structured LP point: sub-profile masses and per-buyer reserve masses.
 
-    The y / y' blocks are derived from the masses via the defining equalities
-    when the point is embedded into an instance's variable space.
+    :meth:`LpInstance.embed` projects the sub-profile masses onto an
+    instance's w and y' columns.
     """
 
     s: dict[int, dict[SubProfile, float]]
     x: dict[int, dict[int, float]]
-    y: dict[tuple[int, int, int], float] | None = None
-    y_prime: dict[tuple[int, int, int], float] | None = None
     objective: float | int | None = None
 
 
 @dataclass
 class LpInstance:
-    """Assembled constraint system over variables s, x, y, y'.
+    """Assembled constraint system over variables w, x, y' (columns in that order).
+
+    Per auction a, ``w[a,b1,b2,r1]`` is the mass of winner-side sub-profile
+    (b1 wins, b2 supports, b1's reserve is r1), one column whenever
+    b1 != b2, bid[b1] >= bid[b2] and r1 <= bid[b1], with objective
+    coefficient weight * max(bid[b2], r1).  ``y'[a,b,r]`` is b's reserve
+    mass as supporter, one column for every r <= bid[b].  ``x[b,r]`` is one
+    column per free buyer and allowed reserve.
 
     Row layout (equalities then inequalities):
-      (1) y[b,r,a]  = sum of s over sub-profiles with winner b, reserve r
-      (2) y'[b,r,a] = sum of s over sub-profiles with supporter b, reserve r, / k
-      (6) sum_r x[b,r] = 1 for every free buyer
-      (3) y[b,r,a] + y'[b,r,a] <= x[b,r]
-      (4) mass(winner=b2, supporter=b1) <= sum_r y'[b1,r,a]
-      (5) sum_p s[a,p] <= k
+      (2') k * sum_r y'[a,b,r] = sum_{b1,r1} w[a,b1,b,r1]   per (a, b)
+      (6)  sum_r x[b,r] = 1                                  per free buyer
+      (3)  sum_{b2} w[a,b,b2,r] + y'[a,b,r] <= x[b,r]        per y' column
+      (4)  sum_{r1} w[a,b1,b2,r1] <= sum_r y'[a,b2,r]        per (a, b1, b2) with w columns
+      (5)  sum of all w[a,...] <= k                          per auction
     Auxiliary and zero-everywhere buyers are fixed at reserve 0 (their x is a
-    constant, not a variable).
+    constant, so (3) has right-hand side 1 for them).  Rows that would be
+    vacuous are not built: (3) above a buyer's bid, and (4) for b1 = b2 or
+    for a pair without columns.
+
+    This is the exact projection of the LP over full sub-profiles
+    ``s[a,b1,b2,r1,r2]``, whose rows read the supporter reserve r2 only
+    through y'[a,b2,r2] = sum s / k, and whose winner mass
+    y[a,b,r] = sum_{b2} w[a,b,b2,r] only restates w.  Summing s over r2
+    maps every point of that LP to a point here with the same objective;
+    conversely ``s = w[a,b1,b2,r1] * y'[a,b2,r2] / sum_r y'[a,b2,r]`` is a
+    point of that LP with the same objective.  The optima are equal, so
+    the optimum still upper-bounds every reserve vector's revenue.
     """
 
     dataset: BidDataset
     grid: ReserveGrid
-    subprofiles: tuple[tuple[SubProfile, ...], ...]
     free_buyers: tuple[int, ...]
     allowed_r: tuple[tuple[int, ...], ...]  # grid indices allowed per buyer
     num_vars: int
-    s_offsets: tuple[int, ...]
+    s_offsets: tuple[int, ...]  # first w column of each auction
     x_offset: int
-    y_offset: int
     yp_offset: int
     c: np.ndarray
-    exact_obj: tuple[tuple[int, ...], ...]  # weight * revenue per s variable
     A_eq: sp.csr_matrix
     b_eq: np.ndarray
     A_le: sp.csr_matrix
     b_le: np.ndarray
-    _sp_index: tuple[dict[SubProfile, int], ...] = field(repr=False, default=())
+    constraint_counts: dict[str, int]
+    _w_keys: np.ndarray = field(repr=False)  # (winner, supporter, r1 index) per w column
+    _n_le: np.ndarray = field(repr=False)    # (auction, buyer) -> grid values <= bid
+    _yp_base: np.ndarray = field(repr=False)  # (auction, buyer) -> first y' column - yp_offset
     _std: lp_solver.StandardLp | None = field(repr=False, default=None)
 
     # -- variable addressing -------------------------------------------------
     def s_col(self, auction: int, local_index: int) -> int:
+        """Column of the auction's ``local_index``-th w variable."""
         return self.s_offsets[auction] + local_index
 
     def x_col(self, buyer: int, r_index: int) -> int | None:
@@ -154,13 +191,11 @@ class LpInstance:
             return None
         return self.x_offset + self._x_base[buyer] + self._allowed_pos[buyer][r_index]
 
-    def y_col(self, buyer: int, r_index: int, auction: int) -> int:
-        n, R = self.dataset.num_buyers, len(self.grid)
-        return self.y_offset + (auction * n + buyer) * R + r_index
-
-    def yp_col(self, buyer: int, r_index: int, auction: int) -> int:
-        n, R = self.dataset.num_buyers, len(self.grid)
-        return self.yp_offset + (auction * n + buyer) * R + r_index
+    def yp_col(self, buyer: int, r_index: int, auction: int) -> int | None:
+        """Column of y'[auction, buyer, r]; None for a reserve above the bid."""
+        if r_index >= self._n_le[auction, buyer]:
+            return None
+        return self.yp_offset + int(self._yp_base[auction, buyer]) + r_index
 
     def __post_init__(self) -> None:
         self._free_set = set(self.free_buyers)
@@ -174,21 +209,24 @@ class LpInstance:
         for b in self.free_buyers:
             self._x_base[b] = base
             base += len(self.allowed_r[b])
-        self._sp_index = tuple(
-            {p: i for i, p in enumerate(prof)} for prof in self.subprofiles
-        )
 
-    @property
-    def constraint_counts(self) -> dict[str, int]:
-        n, R, A = self.dataset.num_buyers, len(self.grid), self.dataset.num_auctions
-        return {
-            "winner_link": A * n * R,
-            "supporter_link": A * n * R,
-            "reserve_consistency": A * n * R,
-            "compatibility": A * n * n,
-            "per_auction_cap": A,
-            "one_reserve_each": sum(1 for _ in self.free_buyers),
-        }
+    @cached_property
+    def subprofiles(self) -> tuple[tuple[WinnerProfile, ...], ...]:
+        """Per auction, the records of its w columns in column order."""
+        values = self.grid.values
+        bounds = self.s_offsets + (self.x_offset,)
+        out = []
+        for a, auction in enumerate(self.dataset.auctions):
+            keys = self._w_keys[bounds[a]: bounds[a + 1]].tolist()
+            out.append(tuple(
+                WinnerProfile(b1, b2, values[r1], max(auction.bids[b2], values[r1]))
+                for b1, b2, r1 in keys
+            ))
+        return tuple(out)
+
+    @cached_property
+    def _w_index(self) -> tuple[dict[WinnerProfile, int], ...]:
+        return tuple({p: i for i, p in enumerate(prof)} for prof in self.subprofiles)
 
     def to_standard_lp(self) -> lp_solver.StandardLp:
         if self._std is None:
@@ -202,25 +240,33 @@ class LpInstance:
         return lp_solver.feasibility_violation(self.to_standard_lp(), vec)
 
     # -- structured points ---------------------------------------------------
-    def embed(self, point: LpPoint) -> np.ndarray:
-        """Map a structured point into the variable space, deriving y and y'.
+    def _project(self, auction: int, p: SubProfile) -> tuple[int, int]:
+        """Local w index and y' column that a full sub-profile projects onto."""
+        i = self._w_index[auction].get(
+            WinnerProfile(p.winner, p.supporter, p.winner_reserve, p.revenue)
+        )
+        yp = None
+        if i is not None and p.supporter_reserve in self.grid:
+            yp = self.yp_col(p.supporter, self.grid.index(p.supporter_reserve), auction)
+        if yp is None:
+            raise ValueError(f"sub-profile {p} is not valid for auction {auction}")
+        return i, yp
 
-        Raises ``ValueError`` if a sub-profile of the point was never
-        enumerated (e.g. a reserve off the grid) or if a fixed buyer carries
-        mass away from 0.
+    def embed(self, point: LpPoint) -> np.ndarray:
+        """Map a structured point into the variable space.
+
+        Each sub-profile's mass goes to its w column and, divided by k, to its
+        supporter's y' column.  Raises ``ValueError`` if a sub-profile of the
+        point is not valid for its auction (e.g. a reserve off the grid or
+        above the bid) or if a fixed buyer carries mass away from 0.
         """
         k = self.dataset.num_items
         vec = np.zeros(self.num_vars)
         for a, masses in point.s.items():
-            index = self._sp_index[a]
             for p, mass in masses.items():
-                if p not in index:
-                    raise ValueError(f"sub-profile {p} is not valid for auction {a}")
-                vec[self.s_col(a, index[p])] = mass
-                r1_idx = self.grid.index(p.winner_reserve)
-                r2_idx = self.grid.index(p.supporter_reserve)
-                vec[self.y_col(p.winner, r1_idx, a)] += mass
-                vec[self.yp_col(p.supporter, r2_idx, a)] += mass / k
+                i, yp = self._project(a, p)
+                vec[self.s_col(a, i)] += mass
+                vec[yp] += mass / k
         for b, masses in point.x.items():
             for r, mass in masses.items():
                 if r not in self.grid:
@@ -238,14 +284,12 @@ class LpInstance:
         return vec
 
     def interpret(self, vec: np.ndarray) -> tuple[list[np.ndarray], dict[int, dict[int, float]]]:
-        """Split a variable vector into per-auction s arrays and x masses.
+        """Split a variable vector into per-auction w arrays and x masses.
 
         Fixed buyers come back as a point mass at 0.
         """
-        s_parts = []
-        for a, prof in enumerate(self.subprofiles):
-            lo = self.s_offsets[a]
-            s_parts.append(np.asarray(vec[lo: lo + len(prof)], dtype=float))
+        bounds = self.s_offsets + (self.x_offset,)
+        s_parts = [np.asarray(vec[lo:hi], dtype=float) for lo, hi in zip(bounds, bounds[1:])]
         x_masses: dict[int, dict[int, float]] = {}
         for b in range(self.dataset.num_buyers):
             if b in self._free_set:
@@ -258,16 +302,16 @@ class LpInstance:
         return s_parts, x_masses
 
     def exact_objective(self, point: LpPoint) -> float | int:
-        """Inner product of the point's s masses with exact integer coefficients.
+        """Inner product of the point's masses with exact integer coefficients.
 
         Integer masses give an exactly-integer result.
         """
         total: float | int = 0
         for a, masses in point.s.items():
-            index = self._sp_index[a]
-            coeff = self.exact_obj[a]
+            weight = self.dataset.auctions[a].weight
+            prof = self.subprofiles[a]
             for p, mass in masses.items():
-                total += coeff[index[p]] * mass
+                total += weight * prof[self._project(a, p)[0]].revenue * mass
         return total
 
     def objective_of(self, vec: np.ndarray) -> float:
@@ -276,18 +320,17 @@ class LpInstance:
     # -- text interchange ----------------------------------------------------
     def var_names(self) -> list[str]:
         names = [""] * self.num_vars
-        for a, prof in enumerate(self.subprofiles):
-            for i in range(len(prof)):
-                names[self.s_col(a, i)] = f"s_{a}_{i}"
+        bounds = self.s_offsets + (self.x_offset,)
+        for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for i in range(hi - lo):
+                names[lo + i] = f"w_{a}_{i}"
         for b in self.free_buyers:
             for r_idx in self.allowed_r[b]:
                 names[self.x_col(b, r_idx)] = f"x_{b}_{self.grid.values[r_idx]}"
-        n, R, A = self.dataset.num_buyers, len(self.grid), self.dataset.num_auctions
-        for a in range(A):
-            for b in range(n):
-                for r_idx in range(R):
+        for a in range(self.dataset.num_auctions):
+            for b in range(self.dataset.num_buyers):
+                for r_idx in range(self._n_le[a, b]):
                     r = self.grid.values[r_idx]
-                    names[self.y_col(b, r_idx, a)] = f"y_{b}_{r}_{a}"
                     names[self.yp_col(b, r_idx, a)] = f"yp_{b}_{r}_{a}"
         return names
 
@@ -314,6 +357,23 @@ class LpInstance:
         return "\n".join(lines) + "\n"
 
 
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(c) for c in counts])`` without the Python loop."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+
+
+def _csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | float]],
+         shape: tuple[int, int]) -> sp.csr_matrix:
+    """Sparse matrix from (rows, columns, values) triples."""
+    rows = np.concatenate([r for r, _, _ in parts])
+    cols = np.concatenate([c for _, c, _ in parts])
+    data = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), r.shape)
+                           for r, _, v in parts])
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+
+
 def build_lp(
     dataset: BidDataset,
     grid: ReserveGrid,
@@ -321,11 +381,13 @@ def build_lp(
     max_subprofiles: int = DEFAULT_MAX_SUBPROFILES,
     per_buyer_grid: bool = False,
 ) -> LpInstance:
-    """Assemble the sub-profile LP for a whole dataset.
+    """Assemble the winner-side sub-profile LP for a whole dataset.
 
-    ``per_buyer_grid`` restricts each buyer's reserve support to their own
-    bid values plus 0 instead of the global grid (optional variant; the
-    default is the full grid).
+    ``max_subprofiles`` bounds the number of full sub-profiles, so a dataset
+    is refused exactly when :func:`enumerate_subprofiles` over its auctions
+    would be.  ``per_buyer_grid`` restricts each buyer's reserve support to
+    their own bid values plus 0 instead of the global grid (optional
+    variant; the default is the full grid).
     """
     if not dataset.includes_auxiliaries:
         raise ValueError("build_lp requires an augmented dataset")
@@ -333,13 +395,35 @@ def build_lp(
     k = dataset.num_items
     R = len(grid)
     A = dataset.num_auctions
+    values = grid.values
 
-    budget = max_subprofiles
-    subprofiles: list[tuple[SubProfile, ...]] = []
-    for a in range(A):
-        prof = enumerate_subprofiles(dataset, a, grid, max_subprofiles=budget)
-        budget -= len(prof)
-        subprofiles.append(tuple(prof))
+    # bids and grid values as ranks in one sorted list: exact comparisons
+    # whatever the size of the money values
+    levels = sorted(set(values).union(*(a.bids for a in dataset.auctions)))
+    rank = {v: i for i, v in enumerate(levels)}
+    bid_rank = np.array([[rank[v] for v in a.bids] for a in dataset.auctions],
+                        dtype=np.int64).reshape(A, n)
+    value_rank = np.array([rank[v] for v in values], dtype=np.int64)
+    n_le = np.searchsorted(value_rank, bid_rank, side="right")  # grid values clearing each bid
+
+    # (winner, supporter) pairs in (auction, winner, supporter) order
+    pairs = (bid_rank[:, :, None] >= bid_rank[:, None, :]) & ~np.eye(n, dtype=bool)
+    pa, pw, ps = np.nonzero(pairs)
+    full = np.cumsum(n_le[pa, pw] * n_le[pa, ps])  # full sub-profiles so far
+    if len(full) and full[-1] > max_subprofiles:
+        a = int(pa[np.argmax(full > max_subprofiles)])
+        first = int(np.searchsorted(pa, a))
+        budget = max_subprofiles - (int(full[first - 1]) if first else 0)
+        raise SizeGuardError(
+            f"auction {a}: sub-profile count exceeds {budget}; raise the budget to proceed"
+        )
+
+    # w columns: one per pair and winner reserve below the winner's bid
+    col_pair = np.repeat(np.arange(len(pa)), n_le[pa, pw])
+    col_r1 = _ranges(n_le[pa, pw])
+    col_a, col_w, col_s = pa[col_pair], pw[col_pair], ps[col_pair]
+    num_w = len(col_pair)
+    s_offsets = tuple(int(i) for i in np.searchsorted(col_a, np.arange(A)))
 
     # auxiliary buyers and buyers bidding 0 everywhere stay at reserve 0
     free_buyers = tuple(
@@ -347,122 +431,77 @@ def build_lp(
     )
     allowed_r: list[tuple[int, ...]] = []
     for b in range(n):
-        if per_buyer_grid and b in set(free_buyers):
-            values = sorted({0} | set(dataset.buyer_bids(b)))
-            allowed_r.append(tuple(grid.index(v) for v in values))
+        if per_buyer_grid and b in free_buyers:
+            values_b = sorted({0} | set(dataset.buyer_bids(b)))
+            allowed_r.append(tuple(grid.index(v) for v in values_b))
         else:
             allowed_r.append(tuple(range(R)))
-
-    s_offsets = []
-    base = 0
-    for prof in subprofiles:
-        s_offsets.append(base)
-        base += len(prof)
-    x_offset = base
-    base += sum(len(allowed_r[b]) for b in free_buyers)
-    y_offset = base
-    base += A * n * R
-    yp_offset = base
-    base += A * n * R
-    num_vars = base
-
-    c = np.zeros(num_vars)
-    exact_obj = []
-    for a, prof in enumerate(subprofiles):
-        w = dataset.auctions[a].weight
-        coeffs = tuple(w * p.revenue for p in prof)
-        exact_obj.append(coeffs)
-        c[s_offsets[a]: s_offsets[a] + len(prof)] = coeffs
-
-    instance = LpInstance(
-        dataset=dataset, grid=grid, subprofiles=tuple(subprofiles),
-        free_buyers=free_buyers, allowed_r=tuple(allowed_r),
-        num_vars=num_vars, s_offsets=tuple(s_offsets),
-        x_offset=x_offset, y_offset=y_offset, yp_offset=yp_offset,
-        c=c, exact_obj=tuple(exact_obj),
-        A_eq=sp.csr_matrix((0, num_vars)), b_eq=np.zeros(0),
-        A_le=sp.csr_matrix((0, num_vars)), b_le=np.zeros(0),
-    )
-
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_data: list[float] = []
-    eq_rhs: list[float] = []
-    le_rows: list[int] = []
-    le_cols: list[int] = []
-    le_data: list[float] = []
-    le_rhs: list[float] = []
-
-    def eq_row(entries: list[tuple[int, float]], rhs: float) -> None:
-        r = len(eq_rhs)
-        for col, val in entries:
-            eq_rows.append(r)
-            eq_cols.append(col)
-            eq_data.append(val)
-        eq_rhs.append(rhs)
-
-    def le_row(entries: list[tuple[int, float]], rhs: float) -> None:
-        r = len(le_rhs)
-        for col, val in entries:
-            le_rows.append(r)
-            le_cols.append(col)
-            le_data.append(val)
-        le_rhs.append(rhs)
-
-    grid_pos = {v: i for i, v in enumerate(grid.values)}
-    for a in range(A):
-        prof = subprofiles[a]
-        by_winner_r: dict[tuple[int, int], list[int]] = {}
-        by_supporter_r: dict[tuple[int, int], list[int]] = {}
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(prof):
-            by_winner_r.setdefault((p.winner, grid_pos[p.winner_reserve]), []).append(i)
-            by_supporter_r.setdefault((p.supporter, grid_pos[p.supporter_reserve]), []).append(i)
-            by_pair.setdefault((p.winner, p.supporter), []).append(i)
-
-        for b in range(n):
-            for r_idx in range(R):
-                # (1) winner link
-                entries = [(instance.y_col(b, r_idx, a), 1.0)]
-                entries += [(instance.s_col(a, i), -1.0) for i in by_winner_r.get((b, r_idx), ())]
-                eq_row(entries, 0.0)
-                # (2) supporter link, scaled by 1/k
-                entries = [(instance.yp_col(b, r_idx, a), 1.0)]
-                entries += [(instance.s_col(a, i), -1.0 / k) for i in by_supporter_r.get((b, r_idx), ())]
-                eq_row(entries, 0.0)
-                # (3) reserve consistency against x (fixed buyers: x is constant)
-                entries = [
-                    (instance.y_col(b, r_idx, a), 1.0),
-                    (instance.yp_col(b, r_idx, a), 1.0),
-                ]
-                xc = instance.x_col(b, r_idx)
-                if xc is not None:
-                    entries.append((xc, -1.0))
-                    le_row(entries, 0.0)
-                else:
-                    fixed_mass = 1.0 if (b not in instance._free_set and grid.values[r_idx] == 0) else 0.0
-                    le_row(entries, fixed_mass)
-        # (4) compatibility: includes b1 == b2 rows, vacuous but kept as written
-        for b1 in range(n):
-            yp_cols = [(instance.yp_col(b1, r_idx, a), -1.0) for r_idx in range(R)]
-            for b2 in range(n):
-                entries = [(instance.s_col(a, i), 1.0) for i in by_pair.get((b2, b1), ())]
-                le_row(entries + yp_cols, 0.0)
-        # (5) at most k sub-profiles happen
-        le_row([(instance.s_col(a, i), 1.0) for i in range(len(prof))], float(k))
-    # (6) one reserve per free buyer
+    x_offset = num_w
+    x_col = np.full((n, R), -1, dtype=np.int64)  # (buyer, r index) -> x column
+    yp_offset = x_offset
     for b in free_buyers:
-        eq_row([(instance.x_col(b, r_idx), 1.0) for r_idx in allowed_r[b]], 1.0)
+        x_col[b, list(allowed_r[b])] = np.arange(yp_offset, yp_offset + len(allowed_r[b]))
+        yp_offset += len(allowed_r[b])
+    x_cols = np.arange(x_offset, yp_offset)
 
-    instance.A_eq = sp.csr_matrix(
-        (eq_data, (eq_rows, eq_cols)), shape=(len(eq_rhs), num_vars)
+    # y' columns: one per (auction, buyer) and reserve below the buyer's bid
+    yp_base = (np.cumsum(n_le) - n_le.ravel()).reshape(A, n)
+    num_yp = int(n_le.sum())
+    yp_ab = np.repeat(np.arange(A * n), n_le.ravel())
+    yp_b, yp_r = yp_ab % n, _ranges(n_le.ravel())
+    yp_cols = yp_offset + np.arange(num_yp)
+    num_vars = yp_offset + num_yp
+
+    weights = np.array([float(a.weight) for a in dataset.auctions])
+    revenue_rank = np.maximum(bid_rank[col_a, col_s], value_rank[col_r1])
+    c = np.zeros(num_vars)
+    c[:num_w] = weights[col_a] * np.array(levels, dtype=float)[revenue_rank]
+
+    w_cols = np.arange(num_w)
+    # (2') supporter link, then (6) one reserve per free buyer
+    x_rows = A * n + np.repeat(np.arange(len(free_buyers)),
+                               [len(allowed_r[b]) for b in free_buyers])
+    A_eq = _csr([
+        (yp_ab, yp_cols, k),
+        (col_a * n + col_s, w_cols, -1.0),
+        (x_rows, x_cols, 1.0),
+    ], (A * n + len(free_buyers), num_vars))
+    b_eq = np.concatenate([np.zeros(A * n), np.ones(len(free_buyers))])
+
+    # (3) reserve consistency, one row per y' column
+    yp_x = x_col[yp_b, yp_r]
+    has_x = yp_x >= 0
+    fixed = np.ones(n, dtype=bool)
+    fixed[list(free_buyers)] = False
+    # (4) compatibility, one row per pair: the supporter's y' entries
+    sup_pair = np.repeat(np.arange(len(pa)), n_le[pa, ps])
+    sup_cols = yp_offset + yp_base[pa[sup_pair], ps[sup_pair]] + _ranges(n_le[pa, ps])
+    row4, row5 = num_yp, num_yp + len(pa)
+    A_le = _csr([
+        (yp_base[col_a, col_w] + col_r1, w_cols, 1.0),
+        (np.arange(num_yp), yp_cols, 1.0),
+        (np.flatnonzero(has_x), yp_x[has_x], -1.0),
+        (row4 + col_pair, w_cols, 1.0),
+        (row4 + sup_pair, sup_cols, -1.0),
+        (row5 + col_a, w_cols, 1.0),  # (5) at most k sub-profiles happen
+    ], (row5 + A, num_vars))
+    b_le = np.concatenate([fixed[yp_b].astype(float), np.zeros(len(pa)), np.full(A, float(k))])
+
+    return LpInstance(
+        dataset=dataset, grid=grid, free_buyers=free_buyers, allowed_r=tuple(allowed_r),
+        num_vars=num_vars, s_offsets=s_offsets, x_offset=x_offset, yp_offset=yp_offset,
+        c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le,
+        constraint_counts={
+            "supporter_link": A * n,
+            "one_reserve_each": len(free_buyers),
+            "reserve_consistency": num_yp,
+            "compatibility": len(pa),
+            "per_auction_cap": A,
+        },
+        _w_keys=np.stack([col_w, col_s, col_r1], axis=1),
+        _n_le=n_le,
+        _yp_base=yp_base,
     )
-    instance.b_eq = np.array(eq_rhs)
-    instance.A_le = sp.csr_matrix(
-        (le_data, (le_rows, le_cols)), shape=(len(le_rhs), num_vars)
-    )
-    instance.b_le = np.array(le_rhs)
-    return instance
 
 
 @dataclass
@@ -471,7 +510,7 @@ class LpSolution:
 
     instance: LpInstance
     objective: float
-    s: list[np.ndarray]
+    s: list[np.ndarray]  # per auction, the w masses in column order
     x_masses: dict[int, dict[int, float]]
     vector: np.ndarray
     iterations: int
@@ -534,16 +573,14 @@ def encode_reserves(
 ) -> LpPoint:
     """Represent an integral reserve vector as a feasible LP point.
 
-    Runs the auctions, sets mass 1 on each achieved sub-profile and on each
-    buyer's actual reserve, and records indicator y / y' blocks.  The point's
-    objective equals the exact weighted revenue.
+    Runs the auctions and sets mass 1 on each achieved sub-profile and on
+    each buyer's actual reserve.  The point's objective equals the exact
+    weighted revenue.
     """
     if not dataset.includes_auxiliaries:
         raise ValueError("encode_reserves requires an augmented dataset")
     validate_reserves(dataset, reserves, grid)
     s: dict[int, dict[SubProfile, float]] = {}
-    y: dict[tuple[int, int, int], float] = {}
-    yp: dict[tuple[int, int, int], float] = {}
     objective = 0
     for a in range(dataset.num_auctions):
         outcome = run_evcg(dataset, a, reserves)
@@ -553,9 +590,7 @@ def encode_reserves(
         for w in outcome.winners:
             p = SubProfile(w, sup, reserves[w], reserves[sup], max(sup_bid, reserves[w]))
             masses[p] = 1
-            y[(w, reserves[w], a)] = 1.0
             objective += dataset.auctions[a].weight * p.revenue
-        yp[(sup, reserves[sup], a)] = 1.0
         s[a] = masses
     x = {b: {reserves[b]: 1.0} for b in range(dataset.num_buyers)}
-    return LpPoint(s=s, x=x, y=y, y_prime=yp, objective=objective)
+    return LpPoint(s=s, x=x, objective=objective)

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from .errors import LpSolveError
+
 
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
@@ -90,7 +92,8 @@ def solve(
     """Solve to proven optimality or report why not.
 
     An iteration/time cap is an explicit ``ITERATION_LIMIT`` status, never a
-    silently suboptimal answer.
+    silently suboptimal answer; a numerical failure of the solver raises
+    :class:`LpSolveError`.
     """
     options: dict = {"presolve": True}
     if max_iterations is not None:
@@ -114,7 +117,7 @@ def solve(
         3: SolveStatus.UNBOUNDED,
     }
     if res.status not in status_map:
-        raise RuntimeError(f"solver reported a numerical failure: {res.message}")
+        raise LpSolveError(f"solver reported a numerical failure: {res.message}")
     status = status_map[res.status]
     if status is not SolveStatus.OPTIMAL:
         return SolveResult(status=status, x=None, objective=None,

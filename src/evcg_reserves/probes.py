@@ -208,18 +208,13 @@ def probe_F_delta(ctx: ProbeContext) -> tuple[float, float]:
     return f_value, delta
 
 
-def inflated_marginal_uncapped(ctx: ProbeContext) -> float:
-    """Sum of per-buyer inflated hit probabilities, before capping at num_items."""
-    return float(ctx.hit_prob_inflated.sum())
-
-
 def exact_split_inflated_term(ctx: ProbeContext) -> float:
     """The analysis-side inflated term: per-buyer mass in [max(tau, t_b), bid_b].
 
     Under an exact threshold split this equals (1 - boost) times the inflated
     hit probabilities; with residual threshold atoms it upper-bounds them, and
     it is the quantity the high-reserve sub-profile mass is bounded by through
-    the LP's winner-link and reserve-consistency constraints.
+    the LP's reserve-consistency constraints.
     """
     bids = ctx.bids
     grid = ctx.lp.grid.values

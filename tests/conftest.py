@@ -77,6 +77,16 @@ def desk_instances(count: int, seed: int) -> list[BidDataset]:
 
 
 @pytest.fixture(scope="session")
+def int64_overflow() -> BidDataset:
+    """k=2, one auction of weight 10^6 with bids 6e12 / 5e12 / 3e12, augmented.
+
+    Its revenues reach 1.1e19, past int64: summed in int64 they wrap to
+    negative numbers.
+    """
+    return make_dataset(2, [(10**6, (6 * 10**12, 5 * 10**12, 3 * 10**12))])
+
+
+@pytest.fixture(scope="session")
 def two_bidder_k1() -> BidDataset:
     """k=1, bids (10, 5), one auction, augmented."""
     return make_dataset(1, [(1, (10, 5))])

@@ -18,6 +18,7 @@ from evcg_reserves.auction import (
     zero_reserves,
 )
 from evcg_reserves.baselines import BadExampleSpec, bad_example
+from evcg_reserves.errors import SizeGuardError
 
 from .conftest import desk_instances, make_dataset, naive_outcome, naive_revenue
 
@@ -194,6 +195,23 @@ def test_batch_evaluator_matches_scalar(case):
     for a in range(ds.num_auctions):
         for tau in (1, 3, 7):
             assert int(ev.winners_above(a, mat, tau)[0]) == winners_above(ds, a, reserves, tau)
+
+
+class TestBatchOverflow:
+    def test_refuses_wrapping_dataset(self, int64_overflow):
+        best = (6 * 10**12, 5 * 10**12) + (0,) * 4
+        assert revenue(int64_overflow, best) == 11 * 10**18  # exact, past 2^63
+        with pytest.raises(SizeGuardError):
+            batch_evaluator(int64_overflow)
+
+    def test_guard_boundary(self):
+        top = 2**63 - 1  # weight * k * max bid just below 2^63: accepted, exact
+        ds = make_dataset(1, [(1, (top, top - 1))])
+        mat = np.array([zero_reserves(ds), (top, 0, 0, 0)], dtype=np.int64)
+        assert [int(v) for v in batch_evaluator(ds).revenues(mat)] == [
+            revenue(ds, zero_reserves(ds)), revenue(ds, (top, 0, 0, 0))] == [top - 1, top]
+        with pytest.raises(SizeGuardError):  # exactly 2^63
+            batch_evaluator(make_dataset(1, [(2, (2**62, 1))]))
 
 
 @settings(max_examples=50, deadline=None)

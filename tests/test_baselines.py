@@ -65,6 +65,12 @@ class TestBruteForce:
         with pytest.raises(SizeGuardError):
             brute_force_opt(ds, grid_of(ds), max_evals=10)
 
+    def test_refuses_int64_overflow(self, int64_overflow):
+        # int64 sums once returned a wrapped "optimum" of 9e18 here; the
+        # exact optimum is 1.1e19
+        with pytest.raises(SizeGuardError):
+            brute_force_opt(int64_overflow, grid_of(int64_overflow))
+
     def test_dominates_specific_vectors(self):
         rng = np.random.Generator(np.random.Philox(3))
         for ds in desk_instances(10, seed=73):

@@ -212,6 +212,25 @@ class TestExitCodes:
         assert run(["solve", "--dataset", dataset_file,
                     "--max-subprofiles", "3"]) == cli.EXIT_SIZE_GUARD
 
+    def test_int64_overflow_refused(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "num_items": 2, "buyers": ["a", "b", "c"],
+            "auctions": [{"weight": 1000000,
+                          "bids": ["6000000000000", "5000000000000", "3000000000000"]}],
+        }))
+        assert run(["bench", "--dataset", str(path)]) == cli.EXIT_SIZE_GUARD
+
+    def test_solver_numerical_failure(self, dataset_file, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        from evcg_reserves import lp_solver
+
+        monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
+            status=4, message="numerical difficulties", x=None, nit=0))
+        assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
+        assert "numerical failure: numerical difficulties" in capsys.readouterr().err
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from evcg_reserves.auction import revenue, zero_reserves
+from evcg_reserves.auction import add_auxiliary_buyers, revenue, zero_reserves
 from evcg_reserves.baselines import BadExampleSpec, bad_example, brute_force_opt
+from evcg_reserves.datasets import random_dataset
 from evcg_reserves.errors import LpSolveError, SizeGuardError
 from evcg_reserves.lp_model import (
     SubProfile,
@@ -57,6 +58,22 @@ class TestEnumeration:
             enumerate_subprofiles(three_bidder_k2, 0, grid_of(three_bidder_k2),
                                   max_subprofiles=5)
 
+    def test_build_guard_counts_full_subprofiles(self):
+        for ds in desk_instances(10, seed=59):
+            grid = grid_of(ds)
+            total = sum(len(enumerate_subprofiles(ds, a, grid))
+                        for a in range(ds.num_auctions))
+            build_lp(ds, grid, max_subprofiles=total)  # exactly at the budget
+            for budget in (total - 1, total // 2, 0):
+                with pytest.raises(SizeGuardError) as built:
+                    build_lp(ds, grid, max_subprofiles=budget)
+                # enumerating auction by auction refuses with the same message
+                with pytest.raises(SizeGuardError) as enumerated:
+                    for a in range(ds.num_auctions):
+                        budget -= len(enumerate_subprofiles(ds, a, grid,
+                                                            max_subprofiles=budget))
+                assert str(built.value) == str(enumerated.value)
+
 
 class TestBuildAndSolve:
     def test_single_buyer_optimum(self):
@@ -80,15 +97,25 @@ class TestBuildAndSolve:
 
     def test_constraint_counts(self, three_bidder_k2):
         inst = build_lp(three_bidder_k2, grid_of(three_bidder_k2))
-        n, R, A = 6, 4, 1
-        counts = inst.constraint_counts
-        assert counts["winner_link"] == counts["supporter_link"] == A * n * R
-        assert counts["reserve_consistency"] == A * n * R
-        assert counts["compatibility"] == A * n * n
-        assert counts["per_auction_cap"] == A
-        assert counts["one_reserve_each"] == 3  # aux fixed at 0
-        assert inst.A_eq.shape[0] == 2 * A * n * R + counts["one_reserve_each"]
-        assert inst.A_le.shape[0] == A * n * R + A * n * n + A
+        # bids (10, 8, 5, 0, 0, 0), grid (0, 5, 8, 10): grid values clearing
+        # each bid n_le = (4, 3, 2, 1, 1, 1)
+        n, A = 6, 1
+        y_prime = 4 + 3 + 2 + 1 + 1 + 1
+        # ordered (winner, supporter) pairs with winner bid >= supporter bid:
+        # 5 for the top bidder, 4, 3, and 2 for each tied auxiliary
+        pairs = 5 + 4 + 3 + 3 * 2
+        w = 5 * 4 + 4 * 3 + 3 * 2 + 6 * 1  # pairs x n_le[winner]
+        assert inst.constraint_counts == {
+            "supporter_link": A * n,
+            "one_reserve_each": 3,  # aux fixed at 0
+            "reserve_consistency": y_prime,
+            "compatibility": pairs,
+            "per_auction_cap": A,
+        }
+        assert inst.A_eq.shape[0] == A * n + 3
+        assert inst.A_le.shape[0] == y_prime + pairs + A
+        assert inst.num_vars == w + 3 * 4 + y_prime
+        assert [len(p) for p in inst.subprofiles] == [w]
 
     def test_objective_matches_inner_product(self):
         for ds in desk_instances(10, seed=31):
@@ -118,6 +145,35 @@ class TestBuildAndSolve:
         inst = build_lp(ds, grid_of(ds))
         with pytest.raises(LpSolveError):
             solve_lp(inst, max_iterations=1)
+
+
+class TestPinnedOptimum:
+    """Optima of the full LP over (winner, supporter, r1, r2) sub-profiles.
+
+    The assembled LP is its projection onto winner-side sub-profiles, so the
+    optimum must not move.
+    """
+
+    @staticmethod
+    def check(ds, expected, **kwargs):
+        objective = solve_lp(build_lp(ds, grid_of(ds), **kwargs)).objective
+        assert abs(objective - expected) <= 1e-9 * abs(expected), (objective, expected)
+
+    def test_benchmark_instances(self):
+        self.check(add_auxiliary_buyers(random_dataset(15, 30, 2, 0, max_bid=9, max_weight=1)),
+                   492)
+        self.check(bad_example(BadExampleSpec(k=20)), 16780)
+        self.check(add_auxiliary_buyers(random_dataset(6, 40, 2, 0, max_bid=9, max_weight=5)),
+                   1349.75)
+
+    def test_bad_example(self):
+        for k, expected in ((2, 70 / 3), (3, 69), (5, 295), (8, 1144), (12, 3732)):
+            self.check(bad_example(BadExampleSpec(k=k)), expected)
+
+    def test_per_buyer_grid(self):
+        expected = (32, 27, 35, 35, 7, 4, 37, 18, 54, 27)
+        for ds, value in zip(desk_instances(10, seed=41), expected, strict=True):
+            self.check(ds, value, per_buyer_grid=True)
 
 
 class TestEncode:
@@ -165,7 +221,8 @@ class TestEncode:
             R = len(grid)
             for a in range(ds.num_auctions):
                 for b in range(ds.num_buyers):
-                    total = sum(vec[inst.yp_col(b, r, a)] for r in range(R))
+                    cols = [inst.yp_col(b, r, a) for r in range(R)]
+                    total = sum(vec[c] for c in cols if c is not None)
                     assert min(abs(total), abs(total - 1.0)) <= 1e-9
 
 
@@ -175,8 +232,18 @@ class TestInterchangeDump:
         text = inst.to_lp_text()
         assert text.startswith("Maximize")
         assert "Subject To" in text and text.rstrip().endswith("End")
-        assert "x_0_10" in text and "y_0_10_0" in text and "yp_1_5_0" in text
-        assert "s_0_0" in text
+        # bids (10, 5, 0, 0): 7 pairs, w columns 3*3 + 2*2 + 2*1, y' up to each bid
+        assert inst.var_names() == (
+            [f"w_0_{i}" for i in range(15)]
+            + [f"x_{b}_{r}" for b in (0, 1) for r in (0, 5, 10)]
+            + ["yp_0_0_0", "yp_0_5_0", "yp_0_10_0", "yp_1_0_0", "yp_1_5_0",
+               "yp_2_0_0", "yp_3_0_0"]
+        )
+        lines = text.splitlines()
+        assert sum(line.startswith(" e") for line in lines) == 4 + 2
+        assert sum(line.startswith(" l") for line in lines) == 7 + 7 + 1
+        assert [line for line in lines if line.startswith(" 0 <= ")] == [
+            f" 0 <= {name}" for name in inst.var_names()]
 
     def test_interpret_round_trip(self, two_bidder_k1):
         inst = build_lp(two_bidder_k1, grid_of(two_bidder_k1))

@@ -1,9 +1,13 @@
 """Solver layer: trivial programs, planted optima, independent verification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from evcg_reserves import lp_solver
+from evcg_reserves.errors import LpSolveError
 from evcg_reserves.lp_solver import (
     SolveStatus,
     StandardLp,
@@ -106,6 +110,14 @@ def test_iteration_limit_is_explicit():
     assert res.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.OPTIMAL)
     if res.status is SolveStatus.ITERATION_LIMIT:
         assert res.x is None and res.objective is None
+
+
+def test_numerical_failure_raises(monkeypatch):
+    lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
+    monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
+        status=4, message="numerical difficulties", x=None, nit=0))
+    with pytest.raises(LpSolveError, match="numerical difficulties"):
+        solve(lp)
 
 
 def test_deterministic_repeat():

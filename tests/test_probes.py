@@ -64,7 +64,7 @@ class TestFDelta:
 
     def test_upper_bound_by_partition(self):
         # the high-reserve mass is bounded by the analysis-side inflated term
-        # through the winner-link and reserve-consistency constraints, so
+        # through the reserve-consistency constraints, so
         # mass(T) - term <= mass(j_minus) + mass(l) holds unconditionally.
         # (The capped marginal form of F can exceed this bound whenever a
         # buyer's threshold atom carries residual mass, e.g. integral x.)
