@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeGuardError
-
 AUX_PREFIX = "~aux"
 
 
@@ -49,6 +47,8 @@ class BidDataset:
             raise ValueError("scale must be non-negative")
         if len(set(self.buyers)) != len(self.buyers):
             raise ValueError("buyer ids must be unique")
+        if not self.auctions:
+            raise ValueError("dataset has no auctions")
         for i, auction in enumerate(self.auctions):
             if auction.weight < 1:
                 raise ValueError(f"auction {i}: weight must be >= 1")
@@ -189,25 +189,6 @@ def validate_reserves(
                 raise ValueError(f"reserve {r} of buyer {b} is not on the grid")
 
 
-def _outcome(dataset: BidDataset, auction_index: int, reserves: ReserveVector) -> AuctionOutcome:
-    bids = dataset.auctions[auction_index].bids
-    k = dataset.num_items
-    cleared = [b for b in range(len(bids)) if bids[b] >= reserves[b]]
-    # lower index beats an equal bid
-    cleared.sort(key=lambda b: (-bids[b], b))
-    winners = tuple(cleared[:k])
-    supporter = cleared[k]
-    support_bid = bids[supporter]
-    payments = {w: max(reserves[w], support_bid) for w in winners}
-    return AuctionOutcome(
-        cleared=frozenset(cleared),
-        winners=winners,
-        supporter=supporter,
-        payments=payments,
-        revenue=sum(payments.values()),
-    )
-
-
 def run_evcg(dataset: BidDataset, auction_index: int, reserves: ReserveVector) -> AuctionOutcome:
     """Execute one eager VCG auction; pure and deterministic.
 
@@ -219,7 +200,7 @@ def run_evcg(dataset: BidDataset, auction_index: int, reserves: ReserveVector) -
     if not 0 <= auction_index < dataset.num_auctions:
         raise IndexError("auction index out of range")
     validate_reserves(dataset, reserves)
-    return _outcome(dataset, auction_index, reserves)
+    return _BatchEvaluator(dataset).outcome(auction_index, reserves)
 
 
 def revenue(dataset: BidDataset, reserves: ReserveVector) -> int:
@@ -227,10 +208,8 @@ def revenue(dataset: BidDataset, reserves: ReserveVector) -> int:
     if not dataset.includes_auxiliaries:
         raise ValueError("revenue requires an augmented dataset")
     validate_reserves(dataset, reserves)
-    return sum(
-        a.weight * _outcome(dataset, i, reserves).revenue
-        for i, a in enumerate(dataset.auctions)
-    )
+    evaluator = _BatchEvaluator(dataset)
+    return int(evaluator.revenues(evaluator.row(reserves))[0])
 
 
 def kth_plus_one_bid(dataset: BidDataset, auction_index: int) -> int:
@@ -257,35 +236,37 @@ def winners_above(
 class _BatchEvaluator:
     """Vectorized exact revenue evaluation for batches of reserve vectors.
 
-    Precomputes the tie-broken bid order per auction once; all arithmetic is
-    int64, so results match :func:`run_evcg` bit for bit.  A winner pays at
+    Precomputes the tie-broken bid order per auction once.  A winner pays at
     most the auction's highest bid, so no sum can exceed
-    sum(weight * k * max bid); a dataset where that bound reaches 2^63 is
-    refused with :class:`SizeGuardError` rather than left to wrap.
+    sum(weight * k * max bid): below 2^63 the arithmetic is int64, from 2^63
+    up it runs on numpy ``object`` arrays of Python ints, so every result is
+    exact.
     """
 
     def __init__(self, dataset: BidDataset):
         if not dataset.includes_auxiliaries:
             raise ValueError("batch evaluation requires an augmented dataset")
+        self.top = max(max(a.bids) for a in dataset.auctions)
         bound = sum(a.weight * dataset.num_items * max(a.bids) for a in dataset.auctions)
-        if bound >= 2**63:
-            raise SizeGuardError(
-                f"revenues up to {bound} do not fit the batch evaluator's int64 "
-                "arithmetic; rescale the dataset"
-            )
+        # :meth:`row` clips reserves to top + 1, so that value must fit as well
+        self.dtype = np.int64 if max(bound, self.top + 1) < 2**63 else object
         self.dataset = dataset
         self.k = dataset.num_items
-        self.weights = np.array([a.weight for a in dataset.auctions], dtype=np.int64)
+        self.weights = np.array([a.weight for a in dataset.auctions], dtype=self.dtype)
         self.orders = []
         self.bids_ordered = []
         for a in dataset.auctions:
-            bids = np.array(a.bids, dtype=np.int64)
-            order = np.lexsort((np.arange(len(bids)), -bids))
-            self.orders.append(order)
-            self.bids_ordered.append(bids[order])
+            order = sorted(range(len(a.bids)), key=lambda b: (-a.bids[b], b))
+            self.orders.append(np.array(order))
+            self.bids_ordered.append(np.array([a.bids[b] for b in order], dtype=self.dtype))
+
+    def row(self, reserves: ReserveVector) -> np.ndarray:
+        """One reserve vector as a one-row matrix; a reserve above every bid,
+        which never clears, becomes top + 1."""
+        return np.array([[min(r, self.top + 1) for r in reserves]], dtype=self.dtype)
 
     def _auction_payments(self, auction_index: int, reserve_matrix: np.ndarray):
-        """Per-sample winner payment matrix and masks for one auction."""
+        """Per-sample payments, winner and cleared masks and supporter, in bid order."""
         order = self.orders[auction_index]
         bids = self.bids_ordered[auction_index]
         res = reserve_matrix[:, order]
@@ -295,14 +276,14 @@ class _BatchEvaluator:
         support_pos = np.argmax(rank == self.k + 1, axis=1)
         support_bid = bids[support_pos]
         payments = np.maximum(res, support_bid[:, None])
-        return payments, win_mask
+        return payments, win_mask, cleared, support_pos
 
     def revenues(self, reserve_matrix: np.ndarray) -> np.ndarray:
         """Weighted total revenue of each row of ``reserve_matrix``."""
-        reserve_matrix = np.asarray(reserve_matrix, dtype=np.int64)
-        total = np.zeros(reserve_matrix.shape[0], dtype=np.int64)
+        reserve_matrix = np.asarray(reserve_matrix, dtype=self.dtype)
+        total = np.zeros(reserve_matrix.shape[0], dtype=self.dtype)
         for i in range(self.dataset.num_auctions):
-            payments, win_mask = self._auction_payments(i, reserve_matrix)
+            payments, win_mask, _, _ = self._auction_payments(i, reserve_matrix)
             total += self.weights[i] * np.where(win_mask, payments, 0).sum(axis=1)
         return total
 
@@ -310,9 +291,19 @@ class _BatchEvaluator:
         """Per-row count of winners paying >= tau in one auction (unweighted)."""
         if tau <= 0:
             raise ValueError("tau must be positive")
-        reserve_matrix = np.asarray(reserve_matrix, dtype=np.int64)
-        payments, win_mask = self._auction_payments(auction_index, reserve_matrix)
+        reserve_matrix = np.asarray(reserve_matrix, dtype=self.dtype)
+        payments, win_mask, _, _ = self._auction_payments(auction_index, reserve_matrix)
         return (win_mask & (payments >= tau)).sum(axis=1)
+
+    def outcome(self, auction_index: int, reserves: ReserveVector) -> AuctionOutcome:
+        """Winners, supporter and payments of one auction under one reserve vector."""
+        order = self.orders[auction_index]
+        row = self.row(reserves)
+        payments, win, cleared, support = self._auction_payments(auction_index, row)
+        paid = {int(w): int(p) for w, p in zip(order[win[0]], payments[0][win[0]])}
+        return AuctionOutcome(
+            cleared=frozenset(int(b) for b in order[cleared[0]]), winners=tuple(paid),
+            supporter=int(order[support[0]]), payments=paid, revenue=sum(paid.values()))
 
 
 def batch_evaluator(dataset: BidDataset) -> _BatchEvaluator:

@@ -175,7 +175,7 @@ def brute_force_opt(
         nonlocal best_rev, best_vec
         if not chunk:
             return
-        mat = np.array(chunk, dtype=np.int64)
+        mat = np.array(chunk, dtype=evaluator.dtype)
         revs = evaluator.revenues(mat)
         i = int(np.argmax(revs))
         if int(revs[i]) > best_rev:  # first max in product order = lexicographic
@@ -209,9 +209,9 @@ def greedy_reserves(
         range(dataset.num_real_buyers), key=lambda b: (-dataset.max_bid(b), b)
     )
     for b in order:
-        trials = np.tile(np.array(current, dtype=np.int64), (len(grid), 1))
+        trials = np.tile(np.array(current, dtype=evaluator.dtype), (len(grid), 1))
         trials[:, b] = grid.values
         revs = evaluator.revenues(trials)
         current[b] = int(grid.values[int(np.argmax(revs))])  # smallest maximizer
     vec = tuple(current)
-    return vec, int(evaluator.revenues(np.array([vec], dtype=np.int64))[0])
+    return vec, int(evaluator.revenues(evaluator.row(vec))[0])

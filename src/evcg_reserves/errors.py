@@ -2,7 +2,8 @@
 
 
 class SizeGuardError(RuntimeError):
-    """Raised when an enumeration or search would exceed its configured budget.
+    """Raised when an enumeration or search would exceed its configured budget,
+    or a dataset's money values exceed the range where the LP is exact.
 
     Callers must refuse loudly rather than silently downsample.
     """

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp_solver
-from .auction import BidDataset, ReserveGrid, run_evcg, validate_reserves
+from .auction import BidDataset, ReserveGrid, batch_evaluator, validate_reserves
 from .errors import LpSolveError, SizeGuardError
 
 DEFAULT_MAX_SUBPROFILES = 500_000
@@ -387,10 +387,18 @@ def build_lp(
     is refused exactly when :func:`enumerate_subprofiles` over its auctions
     would be.  ``per_buyer_grid`` restricts each buyer's reserve support to
     their own bid values plus 0 instead of the global grid (optional
-    variant; the default is the full grid).
+    variant; the default is the full grid).  A dataset with an objective
+    coefficient (weight x bid) past 2^53, where float64 stops being exact, is
+    refused with :class:`SizeGuardError`.
     """
     if not dataset.includes_auxiliaries:
         raise ValueError("build_lp requires an augmented dataset")
+    top = max(a.weight * max(a.bids) for a in dataset.auctions)
+    if top > 2**53:
+        raise SizeGuardError(
+            f"objective coefficient {top} (weight x bid) exceeds 2^53, past which "
+            "the float64 LP is not exact; rescale the dataset"
+        )
     n = dataset.num_buyers
     k = dataset.num_items
     R = len(grid)
@@ -549,9 +557,9 @@ def solve_lp(
         raise LpSolveError("iteration/time limit exceeded before optimality")
     if result.status is not lp_solver.SolveStatus.OPTIMAL:
         raise LpSolveError(f"internal error: solver status {result.status.value}")
-    violation = instance.violation(result.x)
-    if violation > tol_feas:
-        raise LpSolveError(f"returned point violates constraints by {violation:.2e}")
+    if result.max_violation > tol_feas:
+        raise LpSolveError(
+            f"returned point violates constraints by {result.max_violation:.2e}")
     recomputed = instance.objective_of(result.x)
     if abs(recomputed - result.objective) > tol_obj * max(1.0, abs(recomputed)):
         raise LpSolveError("solver objective does not match the recomputed inner product")
@@ -563,7 +571,7 @@ def solve_lp(
         x_masses=x_masses,
         vector=result.x,
         iterations=result.iterations,
-        max_violation=violation,
+        max_violation=result.max_violation,
         complementarity=result.complementarity,
     )
 
@@ -582,8 +590,9 @@ def encode_reserves(
     validate_reserves(dataset, reserves, grid)
     s: dict[int, dict[SubProfile, float]] = {}
     objective = 0
+    evaluator = batch_evaluator(dataset)
     for a in range(dataset.num_auctions):
-        outcome = run_evcg(dataset, a, reserves)
+        outcome = evaluator.outcome(a, reserves)
         sup = outcome.supporter
         sup_bid = dataset.auctions[a].bids[sup]
         masses: dict[SubProfile, float] = {}

@@ -126,7 +126,7 @@ def solve(
     return SolveResult(
         status=SolveStatus.OPTIMAL,
         x=x,
-        objective=float(lp.c @ x),
+        objective=float(-res.fun),  # the solver's own value, checked by callers
         iterations=int(getattr(res, "nit", 0) or 0),
         max_violation=feasibility_violation(lp, x),
         complementarity=_complementarity_residual(lp, x, res),

@@ -23,6 +23,7 @@ from .rounding import (
     RoundingParams,
     SplitDistributions,
     masses_matrix,
+    normalise_masses,
     sample_matrix,
     split_distributions,
 )
@@ -62,9 +63,7 @@ def make_probe_context(
         raise ValueError("tau must be positive")
     dataset = lp.dataset
     grid = lp.grid
-    x = masses_matrix(lp.x_masses, grid, dataset.num_buyers)
-    x = np.clip(x, 0.0, None)
-    x = x / x.sum(axis=1, keepdims=True)
+    x = normalise_masses(masses_matrix(lp.x_masses, grid, dataset.num_buyers))
     splits = split_distributions(x, grid, RoundingParams(boost=boost))
     bids = dataset.auctions[auction_index].bids
     n = dataset.num_buyers

@@ -73,6 +73,18 @@ def masses_matrix(
     return out
 
 
+def normalise_masses(x: np.ndarray) -> np.ndarray:
+    """Clip solver noise at 0 and divide each row by its sum; rejects entries
+    below -1e-9 and rows whose sum is off 1 by more than 1e-7."""
+    if np.any(x < -_NEG_TOL):
+        raise ValueError("negative reserve mass beyond tolerance")
+    x = np.clip(x, 0.0, None)
+    sums = x.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > _MASS_TOL):
+        raise ValueError("per-buyer masses must sum to 1 within 1e-7")
+    return x / sums[:, None]
+
+
 def split_distributions(
     x: np.ndarray,
     grid: ReserveGrid,
@@ -81,20 +93,12 @@ def split_distributions(
     """Split per-buyer masses at each buyer's threshold.
 
     The threshold is the largest grid value whose strictly-below mass does
-    not exceed ``boost``.  Solver noise is handled by clipping at 0 and
-    renormalizing; masses off by more than 1e-7 from a distribution are
-    rejected.
+    not exceed ``boost``, after :func:`normalise_masses`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != len(grid):
         raise ValueError("mass matrix must be (num_buyers x grid size)")
-    if np.any(x < -_NEG_TOL):
-        raise ValueError("negative reserve mass beyond tolerance")
-    x = np.clip(x, 0.0, None)
-    sums = x.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > _MASS_TOL):
-        raise ValueError("per-buyer masses must sum to 1 within 1e-7")
-    x = x / sums[:, None]
+    x = normalise_masses(x)
 
     boost = params.boost
     n, R = x.shape
@@ -243,19 +247,9 @@ def simple_rounding(
     *,
     index: int = 0,
 ) -> tuple[int, ...]:
-    """One independent draw per buyer directly from the fractional masses."""
-    x = masses_matrix(x_masses, grid, dataset.num_buyers)
-    if np.any(x < -_NEG_TOL):
-        raise ValueError("negative reserve mass beyond tolerance")
-    x = np.clip(x, 0.0, None)
-    sums = x.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > _MASS_TOL):
-        raise ValueError("per-buyer masses must sum to 1 within 1e-7")
-    x = x / sums[:, None]
-    return tuple(
-        int(v)
-        for v in sample_matrix(x, grid.values, seed, SIMPLE_STREAM, index + 1)[index]
-    )
+    """One independent draw per buyer: row ``index`` of :func:`simple_rounding_matrix`."""
+    draws = simple_rounding_matrix(dataset, x_masses, grid, seed, index + 1)
+    return tuple(int(v) for v in draws[index])
 
 
 def simple_rounding_matrix(
@@ -265,8 +259,6 @@ def simple_rounding_matrix(
     seed: int,
     num_samples: int,
 ) -> np.ndarray:
-    """Batch variant of :func:`simple_rounding` sharing its sample stream."""
-    x = masses_matrix(x_masses, grid, dataset.num_buyers)
-    x = np.clip(x, 0.0, None)
-    x = x / x.sum(axis=1, keepdims=True)
+    """``num_samples`` independent draws per buyer directly from the fractional masses."""
+    x = normalise_masses(masses_matrix(x_masses, grid, dataset.num_buyers))
     return sample_matrix(x, grid.values, seed, SIMPLE_STREAM, num_samples)

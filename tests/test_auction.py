@@ -18,7 +18,6 @@ from evcg_reserves.auction import (
     zero_reserves,
 )
 from evcg_reserves.baselines import BadExampleSpec, bad_example
-from evcg_reserves.errors import SizeGuardError
 
 from .conftest import desk_instances, make_dataset, naive_outcome, naive_revenue
 
@@ -186,32 +185,96 @@ def test_matches_naive_reimplementation(case):
 
 @settings(max_examples=60, deadline=None)
 @given(instance_and_reserves())
-def test_batch_evaluator_matches_scalar(case):
+def test_batch_evaluator_matches_naive(case):
     ds, reserves = case
     ev = batch_evaluator(ds)
     mat = np.array([reserves, zero_reserves(ds)], dtype=np.int64)
-    assert int(ev.revenues(mat)[0]) == revenue(ds, reserves)
-    assert int(ev.revenues(mat)[1]) == revenue(ds, zero_reserves(ds))
+    assert [int(v) for v in ev.revenues(mat)] == [
+        naive_revenue(ds, reserves), naive_revenue(ds, zero_reserves(ds))]
     for a in range(ds.num_auctions):
+        payments = naive_outcome(ds.auctions[a].bids, reserves, ds.num_items)[2]
         for tau in (1, 3, 7):
-            assert int(ev.winners_above(a, mat, tau)[0]) == winners_above(ds, a, reserves, tau)
+            assert int(ev.winners_above(a, mat, tau)[0]) == sum(
+                p >= tau for p in payments.values())
+
+
+@st.composite
+def near_int64_bound(draw):
+    """Datasets whose bound sum(weight * k * max bid) lies a few units from
+    2^63 on either side, with reserves up to 2^64."""
+    k = draw(st.integers(1, 2))
+    na = draw(st.integers(1, 2))
+    nb = draw(st.integers(1, 3))
+    weight = draw(st.sampled_from((1, 3, 7)))
+    top = 2**63 // (weight * k * na) + draw(st.integers(-2, 2))
+    levels = (0, 1, top - 2, top - 1, top)
+    cols = []
+    for _ in range(na):
+        bids = [draw(st.sampled_from(levels)) for _ in range(nb)]
+        bids[draw(st.integers(0, nb - 1))] = top  # every auction reaches the bound
+        cols.append((weight, tuple(bids)))
+    ds = make_dataset(k, cols)
+    reserves = tuple(draw(st.sampled_from(levels + (top + 1, 2**64))) for _ in range(nb))
+    return ds, reserves + (0,) * (k + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_int64_bound())
+def test_exact_on_both_sides_of_int64(case):
+    ds, reserves = case
+    bound = sum(a.weight * ds.num_items * max(a.bids) for a in ds.auctions)
+    ev = batch_evaluator(ds)
+    top = max(max(a.bids) for a in ds.auctions)
+    assert ev.dtype is (np.int64 if max(bound, top + 1) < 2**63 else object)
+    exact = naive_revenue(ds, reserves)
+    assert int(ev.revenues(ev.row(reserves))[0]) == revenue(ds, reserves) == exact
+    for a in range(ds.num_auctions):
+        winners, supporter, payments, rev = naive_outcome(
+            ds.auctions[a].bids, reserves, ds.num_items)
+        out = run_evcg(ds, a, reserves)
+        assert (sorted(out.winners), out.supporter, out.payments, out.revenue) == (
+            winners, supporter, payments, rev)
+        assert int(ev.winners_above(a, ev.row(reserves), top)[0]) == winners_above(
+            ds, a, reserves, top) == sum(p >= top for p in payments.values())
 
 
 class TestBatchOverflow:
-    def test_refuses_wrapping_dataset(self, int64_overflow):
+    def test_exact_past_int64(self, int64_overflow):
         best = (6 * 10**12, 5 * 10**12) + (0,) * 4
-        assert revenue(int64_overflow, best) == 11 * 10**18  # exact, past 2^63
-        with pytest.raises(SizeGuardError):
-            batch_evaluator(int64_overflow)
+        zeros = zero_reserves(int64_overflow)
+        ev = batch_evaluator(int64_overflow)
+        assert ev.dtype is object  # int64 sums wrapped here to -7.4e18
+        revs = ev.revenues(np.array([best, zeros], dtype=np.int64))
+        assert [int(v) for v in revs] == [revenue(int64_overflow, best),
+                                          revenue(int64_overflow, zeros)] == [
+            naive_revenue(int64_overflow, best), naive_revenue(int64_overflow, zeros)]
+        assert revs[0] == 11 * 10**18
 
     def test_guard_boundary(self):
-        top = 2**63 - 1  # weight * k * max bid just below 2^63: accepted, exact
-        ds = make_dataset(1, [(1, (top, top - 1))])
-        mat = np.array([zero_reserves(ds), (top, 0, 0, 0)], dtype=np.int64)
-        assert [int(v) for v in batch_evaluator(ds).revenues(mat)] == [
-            revenue(ds, zero_reserves(ds)), revenue(ds, (top, 0, 0, 0))] == [top - 1, top]
-        with pytest.raises(SizeGuardError):  # exactly 2^63
-            batch_evaluator(make_dataset(1, [(2, (2**62, 1))]))
+        # weight * k * max bid = 2^63 - 1 = 7 * top: int64, exact at its limit
+        top = (2**63 - 1) // 7
+        ds = make_dataset(1, [(7, (top, top - 1))])
+        rows = [zero_reserves(ds), (top, 0, 0, 0)]
+        ev = batch_evaluator(ds)
+        assert ev.dtype is np.int64
+        assert [int(v) for v in ev.revenues(np.array(rows, dtype=np.int64))] == [
+            naive_revenue(ds, r) for r in rows] == [7 * (top - 1), 2**63 - 1]
+        # exactly 2^63: Python ints
+        ds = make_dataset(1, [(2, (2**62, 1))])
+        ev = batch_evaluator(ds)
+        assert ev.dtype is object
+        assert int(ev.revenues(np.array([(2**62, 0, 0, 0)]))[0]) == naive_revenue(
+            ds, (2**62, 0, 0, 0)) == 2**63
+        # a max bid of 2^63 - 1 leaves no int64 above it for a clipped reserve
+        ds = make_dataset(1, [(1, (2**63 - 1, 5))])
+        assert batch_evaluator(ds).dtype is object
+        assert revenue(ds, (2**63, 0, 0, 0)) == naive_revenue(ds, (2**63, 0, 0, 0)) == 0
+
+    def test_reserve_past_int64_on_small_dataset(self, two_bidder_k1):
+        reserves = (2**70, 5, 0, 0)
+        assert batch_evaluator(two_bidder_k1).dtype is np.int64
+        assert revenue(two_bidder_k1, reserves) == naive_revenue(two_bidder_k1, reserves) == 5
+        assert run_evcg(two_bidder_k1, 0, reserves).winners == (1,)
 
 
 @settings(max_examples=50, deadline=None)

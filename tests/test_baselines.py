@@ -17,7 +17,7 @@ from evcg_reserves.baselines import (
 from evcg_reserves.errors import SizeGuardError
 from evcg_reserves.lp_model import build_lp
 
-from .conftest import desk_instances, grid_of, make_dataset
+from .conftest import desk_instances, grid_of, make_dataset, naive_revenue
 
 
 def full_grid_optimum(ds, grid):
@@ -65,11 +65,10 @@ class TestBruteForce:
         with pytest.raises(SizeGuardError):
             brute_force_opt(ds, grid_of(ds), max_evals=10)
 
-    def test_refuses_int64_overflow(self, int64_overflow):
-        # int64 sums once returned a wrapped "optimum" of 9e18 here; the
-        # exact optimum is 1.1e19
-        with pytest.raises(SizeGuardError):
-            brute_force_opt(int64_overflow, grid_of(int64_overflow))
+    def test_exact_past_int64(self, int64_overflow):
+        # int64 sums once returned a wrapped "optimum" of 9e18 here
+        vec, rev = brute_force_opt(int64_overflow, grid_of(int64_overflow))
+        assert rev == naive_revenue(int64_overflow, vec) == 11 * 10**18
 
     def test_dominates_specific_vectors(self):
         rng = np.random.Generator(np.random.Philox(3))

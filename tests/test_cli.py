@@ -213,13 +213,28 @@ class TestExitCodes:
                     "--max-subprofiles", "3"]) == cli.EXIT_SIZE_GUARD
 
     def test_int64_overflow_refused(self, tmp_path):
+        """Revenues past 2^63 are exact; only the float LP is refused (2^53)."""
         path = tmp_path / "big.json"
         path.write_text(json.dumps({
             "num_items": 2, "buyers": ["a", "b", "c"],
             "auctions": [{"weight": 1000000,
                           "bids": ["6000000000000", "5000000000000", "3000000000000"]}],
         }))
-        assert run(["bench", "--dataset", str(path)]) == cli.EXIT_SIZE_GUARD
+        assert run(["solve", "--dataset", str(path)]) == cli.EXIT_SIZE_GUARD
+        out = tmp_path / "bench.json"
+        assert run(["bench", "--dataset", str(path), "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        assert "2^53" in doc["lp_skipped"]
+        methods = doc["methods"]
+        assert methods["brute_force"]["revenue"] == methods["greedy"]["revenue"] == (
+            "11000000000000000000")
+
+    def test_empty_dataset(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"num_items": 1, "buyers": ["a"], "auctions": []}))
+        for command in ("solve", "bench"):
+            assert run([command, "--dataset", str(path)]) == cli.EXIT_VALIDATION
+            assert "dataset has no auctions" in capsys.readouterr().err
 
     def test_solver_numerical_failure(self, dataset_file, monkeypatch, capsys):
         from types import SimpleNamespace

@@ -78,6 +78,12 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="auctions"):
             load_dataset(path)
 
+    def test_no_auctions_rejected(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"num_items": 1, "buyers": ["a"], "auctions": []}))
+        with pytest.raises(ValueError, match="dataset has no auctions"):
+            load_dataset(path)
+
     def test_bid_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

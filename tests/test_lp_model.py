@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evcg_reserves import lp_solver
 from evcg_reserves.auction import add_auxiliary_buyers, revenue, zero_reserves
 from evcg_reserves.baselines import BadExampleSpec, bad_example, brute_force_opt
 from evcg_reserves.datasets import random_dataset
@@ -145,6 +146,30 @@ class TestBuildAndSolve:
         inst = build_lp(ds, grid_of(ds))
         with pytest.raises(LpSolveError):
             solve_lp(inst, max_iterations=1)
+
+    def test_solver_objective_disagreeing_with_point_raises(self, monkeypatch,
+                                                            two_bidder_k1):
+        instance = build_lp(two_bidder_k1, grid_of(two_bidder_k1))
+        real = lp_solver.linprog
+
+        def off_by_one(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.fun -= 1.0
+            return res
+
+        monkeypatch.setattr(lp_solver, "linprog", off_by_one)
+        with pytest.raises(LpSolveError, match="objective does not match"):
+            solve_lp(instance)
+
+    def test_float_exactness_guard(self):
+        # weight x bid = 2^53 is still exact in float64
+        for weight, bid in ((1, 2**53), (2, 2**52)):
+            ds = make_dataset(1, [(weight, (bid, 3))])
+            assert solve_lp(build_lp(ds, grid_of(ds))).objective == 2**53
+        for weight, bid in ((1, 2**53 + 1), (3, 2**52)):
+            ds = make_dataset(1, [(weight, (bid, 3))])
+            with pytest.raises(SizeGuardError, match="2\\^53"):
+                build_lp(ds, grid_of(ds))
 
 
 class TestPinnedOptimum:

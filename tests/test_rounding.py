@@ -199,3 +199,9 @@ class TestSimpleRounding:
         bad = {0: {10: 0.5}, 1: {5: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}}
         with pytest.raises(ValueError):
             simple_rounding(two_bidder_k1, bad, grid, seed=1)
+
+    def test_matrix_rejects_short_masses(self, two_bidder_k1):
+        grid = grid_of(two_bidder_k1)
+        short = {0: {10: 0.9}, 1: {5: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}}
+        with pytest.raises(ValueError, match="sum to 1"):
+            simple_rounding_matrix(two_bidder_k1, short, grid, seed=1, num_samples=4)
