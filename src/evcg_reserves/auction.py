@@ -10,6 +10,7 @@ lose every tie against real buyers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,11 @@ class BidDataset:
 
     def buyer_bids(self, buyer: int) -> tuple[int, ...]:
         return tuple(a.bids[buyer] for a in self.auctions)
+
+    @cached_property
+    def _evaluator(self) -> _BatchEvaluator:
+        # built once per dataset: every exact evaluation of it shares this one
+        return _BatchEvaluator(self)
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ def run_evcg(dataset: BidDataset, auction_index: int, reserves: ReserveVector) -
     if not 0 <= auction_index < dataset.num_auctions:
         raise IndexError("auction index out of range")
     validate_reserves(dataset, reserves)
-    return _BatchEvaluator(dataset).outcome(auction_index, reserves)
+    return dataset._evaluator.outcome(auction_index, reserves)
 
 
 def revenue(dataset: BidDataset, reserves: ReserveVector) -> int:
@@ -208,7 +214,7 @@ def revenue(dataset: BidDataset, reserves: ReserveVector) -> int:
     if not dataset.includes_auxiliaries:
         raise ValueError("revenue requires an augmented dataset")
     validate_reserves(dataset, reserves)
-    evaluator = _BatchEvaluator(dataset)
+    evaluator = dataset._evaluator
     return int(evaluator.revenues(evaluator.row(reserves))[0])
 
 
@@ -307,4 +313,5 @@ class _BatchEvaluator:
 
 
 def batch_evaluator(dataset: BidDataset) -> _BatchEvaluator:
-    return _BatchEvaluator(dataset)
+    """The dataset's evaluator, built on first use and shared afterwards."""
+    return dataset._evaluator

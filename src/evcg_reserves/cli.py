@@ -17,7 +17,14 @@ from importlib import resources
 from pathlib import Path
 
 from . import baselines, bounds, datasets, lp_model, probes, report, rounding
-from .auction import ReserveGrid, add_auxiliary_buyers, batch_evaluator, revenue, zero_reserves
+from .auction import (
+    ReserveGrid,
+    add_auxiliary_buyers,
+    batch_evaluator,
+    kth_plus_one_bid,
+    revenue,
+    zero_reserves,
+)
 from .errors import LpSolveError, SizeGuardError
 
 EXIT_OK = 0
@@ -279,8 +286,6 @@ def cmd_probe(args) -> int:
     doc = report.make_report("probe", augmented, _config_section(args))
     doc["lp"] = _lp_section(instance, solution)
     rows = []
-    from .auction import kth_plus_one_bid
-
     for a in range(augmented.num_auctions):
         kth = kth_plus_one_bid(augmented, a)
         for tau in probes.payment_thresholds(solution):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +30,7 @@ from .auction import BidDataset, ReserveGrid, batch_evaluator, validate_reserves
 from .errors import LpSolveError, SizeGuardError
 
 DEFAULT_MAX_SUBPROFILES = 500_000
+OBJECTIVE_TOL = 1e-9  # relative gap allowed between HiGHS's objective and c . x
 
 
 class SubProfile(NamedTuple):
@@ -104,19 +104,6 @@ def enumerate_subprofiles(
     return out
 
 
-class WinnerProfile(NamedTuple):
-    """One LP column: a sub-profile with the supporter reserve summed out.
-
-    Revenue is ``max(supporter bid, winner reserve)``, as for every
-    sub-profile it stands for.
-    """
-
-    winner: int
-    supporter: int
-    winner_reserve: int
-    revenue: int
-
-
 @dataclass
 class LpPoint:
     """A structured LP point: sub-profile masses and per-buyer reserve masses.
@@ -160,97 +147,77 @@ class LpInstance:
     conversely ``s = w[a,b1,b2,r1] * y'[a,b2,r2] / sum_r y'[a,b2,r]`` is a
     point of that LP with the same objective.  The optima are equal, so
     the optimum still upper-bounds every reserve vector's revenue.
+
+    Columns are addressed through the index arrays alone.  The w columns
+    are sorted by (auction, winner, supporter, r1), so each auction's and
+    each pair's columns are contiguous; r indices are grid indices.
     """
 
     dataset: BidDataset
     grid: ReserveGrid
-    free_buyers: tuple[int, ...]
-    allowed_r: tuple[tuple[int, ...], ...]  # grid indices allowed per buyer
-    num_vars: int
-    s_offsets: tuple[int, ...]  # first w column of each auction
-    x_offset: int
-    yp_offset: int
     c: np.ndarray
     A_eq: sp.csr_matrix
     b_eq: np.ndarray
     A_le: sp.csr_matrix
     b_le: np.ndarray
     constraint_counts: dict[str, int]
-    _w_keys: np.ndarray = field(repr=False)  # (winner, supporter, r1 index) per w column
-    _n_le: np.ndarray = field(repr=False)    # (auction, buyer) -> grid values <= bid
-    _yp_base: np.ndarray = field(repr=False)  # (auction, buyer) -> first y' column - yp_offset
-    _std: lp_solver.StandardLp | None = field(repr=False, default=None)
+    # per w column: auction, winner, supporter, r1 index, exact (int64) revenue
+    w_auction: np.ndarray = field(repr=False)
+    w_winner: np.ndarray = field(repr=False)
+    w_supporter: np.ndarray = field(repr=False)
+    w_r1: np.ndarray = field(repr=False)
+    w_revenue: np.ndarray = field(repr=False)
+    w_first: np.ndarray = field(repr=False)   # (a, b1, b2) -> first w column, -1 if none
+    x_cols: np.ndarray = field(repr=False)    # (b, r) -> x column, -1 if none
+    yp_first: np.ndarray = field(repr=False)  # (a, b) -> first y' column
+    n_le: np.ndarray = field(repr=False)      # (a, b) -> grid values <= bid: y' columns of (a, b)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.c)
 
     # -- variable addressing -------------------------------------------------
-    def s_col(self, auction: int, local_index: int) -> int:
-        """Column of the auction's ``local_index``-th w variable."""
-        return self.s_offsets[auction] + local_index
+    def w_cols(self, auction: int) -> slice:
+        """The auction's w columns."""
+        lo, hi = np.searchsorted(self.w_auction, [auction, auction + 1])
+        return slice(int(lo), int(hi))
 
     def x_col(self, buyer: int, r_index: int) -> int | None:
-        if buyer not in self._free_set or r_index not in self._allowed_set[buyer]:
-            return None
-        return self.x_offset + self._x_base[buyer] + self._allowed_pos[buyer][r_index]
+        """Column of x[buyer, r]; None for a fixed buyer or a reserve outside
+        the buyer's allowed set."""
+        col = int(self.x_cols[buyer, r_index])
+        return col if col >= 0 else None
 
     def yp_col(self, buyer: int, r_index: int, auction: int) -> int | None:
         """Column of y'[auction, buyer, r]; None for a reserve above the bid."""
-        if r_index >= self._n_le[auction, buyer]:
+        if r_index >= self.n_le[auction, buyer]:
             return None
-        return self.yp_offset + int(self._yp_base[auction, buyer]) + r_index
-
-    def __post_init__(self) -> None:
-        self._free_set = set(self.free_buyers)
-        self._allowed_set = {b: set(self.allowed_r[b]) for b in range(self.dataset.num_buyers)}
-        self._allowed_pos = {
-            b: {r: i for i, r in enumerate(self.allowed_r[b])}
-            for b in range(self.dataset.num_buyers)
-        }
-        self._x_base = {}
-        base = 0
-        for b in self.free_buyers:
-            self._x_base[b] = base
-            base += len(self.allowed_r[b])
-
-    @cached_property
-    def subprofiles(self) -> tuple[tuple[WinnerProfile, ...], ...]:
-        """Per auction, the records of its w columns in column order."""
-        values = self.grid.values
-        bounds = self.s_offsets + (self.x_offset,)
-        out = []
-        for a, auction in enumerate(self.dataset.auctions):
-            keys = self._w_keys[bounds[a]: bounds[a + 1]].tolist()
-            out.append(tuple(
-                WinnerProfile(b1, b2, values[r1], max(auction.bids[b2], values[r1]))
-                for b1, b2, r1 in keys
-            ))
-        return tuple(out)
-
-    @cached_property
-    def _w_index(self) -> tuple[dict[WinnerProfile, int], ...]:
-        return tuple({p: i for i, p in enumerate(prof)} for prof in self.subprofiles)
+        return int(self.yp_first[auction, buyer]) + r_index
 
     def to_standard_lp(self) -> lp_solver.StandardLp:
-        if self._std is None:
-            self._std = lp_solver.StandardLp(
-                c=self.c, A_eq=self.A_eq, b_eq=self.b_eq,
-                A_le=self.A_le, b_le=self.b_le,
-            )
-        return self._std
+        return lp_solver.StandardLp(
+            c=self.c, A_eq=self.A_eq, b_eq=self.b_eq, A_le=self.A_le, b_le=self.b_le,
+        )
 
     def violation(self, vec: np.ndarray) -> float:
         return lp_solver.feasibility_violation(self.to_standard_lp(), vec)
 
     # -- structured points ---------------------------------------------------
     def _project(self, auction: int, p: SubProfile) -> tuple[int, int]:
-        """Local w index and y' column that a full sub-profile projects onto."""
-        i = self._w_index[auction].get(
-            WinnerProfile(p.winner, p.supporter, p.winner_reserve, p.revenue)
-        )
-        yp = None
-        if i is not None and p.supporter_reserve in self.grid:
-            yp = self.yp_col(p.supporter, self.grid.index(p.supporter_reserve), auction)
+        """w and y' columns that a full sub-profile projects onto."""
+        n = self.dataset.num_buyers
+        w = yp = None
+        if (0 <= p.winner < n and 0 <= p.supporter < n and p.winner_reserve in self.grid
+                and p.supporter_reserve in self.grid):
+            r1 = self.grid.index(p.winner_reserve)
+            first = int(self.w_first[auction, p.winner, p.supporter])
+            if (first >= 0 and r1 < self.n_le[auction, p.winner]
+                    and int(self.w_revenue[first + r1]) == p.revenue):
+                w = first + r1
+                yp = self.yp_col(p.supporter, self.grid.index(p.supporter_reserve), auction)
         if yp is None:
             raise ValueError(f"sub-profile {p} is not valid for auction {auction}")
-        return i, yp
+        return w, yp
 
     def embed(self, point: LpPoint) -> np.ndarray:
         """Map a structured point into the variable space.
@@ -258,29 +225,32 @@ class LpInstance:
         Each sub-profile's mass goes to its w column and, divided by k, to its
         supporter's y' column.  Raises ``ValueError`` if a sub-profile of the
         point is not valid for its auction (e.g. a reserve off the grid or
-        above the bid) or if a fixed buyer carries mass away from 0.
+        above the bid), if a free buyer carries mass on a reserve outside its
+        allowed set, or if an auxiliary buyer carries mass away from 0.
         """
         k = self.dataset.num_items
         vec = np.zeros(self.num_vars)
         for a, masses in point.s.items():
             for p, mass in masses.items():
-                i, yp = self._project(a, p)
-                vec[self.s_col(a, i)] += mass
+                w, yp = self._project(a, p)
+                vec[w] += mass
                 vec[yp] += mass / k
         for b, masses in point.x.items():
+            free = bool((self.x_cols[b] >= 0).any())
             for r, mass in masses.items():
                 if r not in self.grid:
                     raise ValueError(f"reserve {r} of buyer {b} is not on the grid")
                 col = self.x_col(b, self.grid.index(r))
                 if col is not None:
                     vec[col] = mass
-                elif b in self._free_set and r != 0 and mass != 0:
+                elif r != 0 and mass != 0 and (free or b >= self.dataset.num_real_buyers):
                     raise ValueError(
                         f"reserve {r} of buyer {b} is outside the buyer's allowed set"
                     )
-                # fixed buyers: x is the constant point mass at 0; any reserve
-                # above their (zero) bids is revenue-equivalent and never
-                # appears in a sub-profile, so the mass is dropped soundly
+                # a real buyer bidding 0 everywhere: x is the constant point
+                # mass at 0, and any reserve above its zero bids is
+                # revenue-equivalent and never appears in a sub-profile, so
+                # the mass is dropped soundly
         return vec
 
     def interpret(self, vec: np.ndarray) -> tuple[list[np.ndarray], dict[int, dict[int, float]]]:
@@ -288,17 +258,13 @@ class LpInstance:
 
         Fixed buyers come back as a point mass at 0.
         """
-        bounds = self.s_offsets + (self.x_offset,)
-        s_parts = [np.asarray(vec[lo:hi], dtype=float) for lo, hi in zip(bounds, bounds[1:])]
+        s_parts = [np.asarray(vec[self.w_cols(a)], dtype=float)
+                   for a in range(self.dataset.num_auctions)]
+        values = self.grid.values
         x_masses: dict[int, dict[int, float]] = {}
-        for b in range(self.dataset.num_buyers):
-            if b in self._free_set:
-                x_masses[b] = {
-                    self.grid.values[r_idx]: float(vec[self.x_col(b, r_idx)])
-                    for r_idx in self.allowed_r[b]
-                }
-            else:
-                x_masses[b] = {0: 1.0}
+        for b, cols in enumerate(self.x_cols.tolist()):
+            masses = {values[r]: float(vec[col]) for r, col in enumerate(cols) if col >= 0}
+            x_masses[b] = masses or {0: 1.0}  # a fixed buyer has no x column
         return s_parts, x_masses
 
     def exact_objective(self, point: LpPoint) -> float | int:
@@ -309,9 +275,8 @@ class LpInstance:
         total: float | int = 0
         for a, masses in point.s.items():
             weight = self.dataset.auctions[a].weight
-            prof = self.subprofiles[a]
             for p, mass in masses.items():
-                total += weight * prof[self._project(a, p)[0]].revenue * mass
+                total += weight * int(self.w_revenue[self._project(a, p)[0]]) * mass
         return total
 
     def objective_of(self, vec: np.ndarray) -> float:
@@ -319,19 +284,16 @@ class LpInstance:
 
     # -- text interchange ----------------------------------------------------
     def var_names(self) -> list[str]:
-        names = [""] * self.num_vars
-        bounds = self.s_offsets + (self.x_offset,)
-        for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            for i in range(hi - lo):
-                names[lo + i] = f"w_{a}_{i}"
-        for b in self.free_buyers:
-            for r_idx in self.allowed_r[b]:
-                names[self.x_col(b, r_idx)] = f"x_{b}_{self.grid.values[r_idx]}"
-        for a in range(self.dataset.num_auctions):
-            for b in range(self.dataset.num_buyers):
-                for r_idx in range(self._n_le[a, b]):
-                    r = self.grid.values[r_idx]
-                    names[self.yp_col(b, r_idx, a)] = f"yp_{b}_{r}_{a}"
+        values = self.grid.values
+        w_local = np.arange(len(self.w_auction)) - np.searchsorted(self.w_auction, self.w_auction)
+        names = [f"w_{a}_{i}" for a, i in zip(self.w_auction.tolist(), w_local.tolist())]
+        names += [""] * (self.num_vars - len(names))
+        for (b, r), col in np.ndenumerate(self.x_cols):
+            if col >= 0:
+                names[col] = f"x_{b}_{values[r]}"
+        for (a, b), first in np.ndenumerate(self.yp_first):
+            for r in range(self.n_le[a, b]):
+                names[first + r] = f"yp_{b}_{values[r]}_{a}"
         return names
 
     def to_lp_text(self) -> str:
@@ -431,26 +393,21 @@ def build_lp(
     col_r1 = _ranges(n_le[pa, pw])
     col_a, col_w, col_s = pa[col_pair], pw[col_pair], ps[col_pair]
     num_w = len(col_pair)
-    s_offsets = tuple(int(i) for i in np.searchsorted(col_a, np.arange(A)))
+    w_first = np.full((A, n, n), -1, dtype=np.int64)
+    w_first[pa, pw, ps] = np.cumsum(n_le[pa, pw]) - n_le[pa, pw]
 
     # auxiliary buyers and buyers bidding 0 everywhere stay at reserve 0
     free_buyers = tuple(
         b for b in range(dataset.num_real_buyers) if dataset.max_bid(b) > 0
     )
-    allowed_r: list[tuple[int, ...]] = []
-    for b in range(n):
-        if per_buyer_grid and b in free_buyers:
-            values_b = sorted({0} | set(dataset.buyer_bids(b)))
-            allowed_r.append(tuple(grid.index(v) for v in values_b))
-        else:
-            allowed_r.append(tuple(range(R)))
-    x_offset = num_w
-    x_col = np.full((n, R), -1, dtype=np.int64)  # (buyer, r index) -> x column
-    yp_offset = x_offset
-    for b in free_buyers:
-        x_col[b, list(allowed_r[b])] = np.arange(yp_offset, yp_offset + len(allowed_r[b]))
-        yp_offset += len(allowed_r[b])
-    x_cols = np.arange(x_offset, yp_offset)
+    x_cols = np.full((n, R), -1, dtype=np.int64)  # (buyer, r index) -> x column
+    x_rows: list[int] = []  # the (6) row of each x column
+    for i, b in enumerate(free_buyers):
+        allowed = (sorted(grid.index(v) for v in {0, *dataset.buyer_bids(b)})
+                   if per_buyer_grid else list(range(R)))
+        x_cols[b, allowed] = num_w + len(x_rows) + np.arange(len(allowed))
+        x_rows += [A * n + i] * len(allowed)
+    yp_offset = num_w + len(x_rows)
 
     # y' columns: one per (auction, buyer) and reserve below the buyer's bid
     yp_base = (np.cumsum(n_le) - n_le.ravel()).reshape(A, n)
@@ -462,22 +419,22 @@ def build_lp(
 
     weights = np.array([float(a.weight) for a in dataset.auctions])
     revenue_rank = np.maximum(bid_rank[col_a, col_s], value_rank[col_r1])
+    # every revenue is at most the top bid, which is at most 2^53
+    w_revenue = np.array(levels[: bid_rank.max() + 1], dtype=np.int64)[revenue_rank]
     c = np.zeros(num_vars)
-    c[:num_w] = weights[col_a] * np.array(levels, dtype=float)[revenue_rank]
+    c[:num_w] = weights[col_a] * w_revenue
 
     w_cols = np.arange(num_w)
     # (2') supporter link, then (6) one reserve per free buyer
-    x_rows = A * n + np.repeat(np.arange(len(free_buyers)),
-                               [len(allowed_r[b]) for b in free_buyers])
     A_eq = _csr([
         (yp_ab, yp_cols, k),
         (col_a * n + col_s, w_cols, -1.0),
-        (x_rows, x_cols, 1.0),
+        (np.array(x_rows, dtype=np.int64), np.arange(num_w, yp_offset), 1.0),
     ], (A * n + len(free_buyers), num_vars))
     b_eq = np.concatenate([np.zeros(A * n), np.ones(len(free_buyers))])
 
     # (3) reserve consistency, one row per y' column
-    yp_x = x_col[yp_b, yp_r]
+    yp_x = x_cols[yp_b, yp_r]
     has_x = yp_x >= 0
     fixed = np.ones(n, dtype=bool)
     fixed[list(free_buyers)] = False
@@ -496,9 +453,7 @@ def build_lp(
     b_le = np.concatenate([fixed[yp_b].astype(float), np.zeros(len(pa)), np.full(A, float(k))])
 
     return LpInstance(
-        dataset=dataset, grid=grid, free_buyers=free_buyers, allowed_r=tuple(allowed_r),
-        num_vars=num_vars, s_offsets=s_offsets, x_offset=x_offset, yp_offset=yp_offset,
-        c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le,
+        dataset=dataset, grid=grid, c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le,
         constraint_counts={
             "supporter_link": A * n,
             "one_reserve_each": len(free_buyers),
@@ -506,9 +461,9 @@ def build_lp(
             "compatibility": len(pa),
             "per_auction_cap": A,
         },
-        _w_keys=np.stack([col_w, col_s, col_r1], axis=1),
-        _n_le=n_le,
-        _yp_base=yp_base,
+        w_auction=col_a, w_winner=col_w, w_supporter=col_s, w_r1=col_r1,
+        w_revenue=w_revenue, w_first=w_first, x_cols=x_cols,
+        yp_first=yp_offset + yp_base, n_le=n_le,
     )
 
 
@@ -538,9 +493,7 @@ def solve_lp(
     instance: LpInstance,
     *,
     tol_feas: float = 1e-7,
-    tol_obj: float = 1e-9,
     max_iterations: int | None = None,
-    time_limit: float | None = None,
 ) -> LpSolution:
     """Solve and independently verify an assembled instance.
 
@@ -548,20 +501,16 @@ def solve_lp(
     are raised as errors, as is an iteration cap; there is no silently
     suboptimal return.
     """
-    result = lp_solver.solve(
-        instance.to_standard_lp(),
-        max_iterations=max_iterations,
-        time_limit=time_limit,
-    )
+    result = lp_solver.solve(instance.to_standard_lp(), max_iterations=max_iterations)
     if result.status is lp_solver.SolveStatus.ITERATION_LIMIT:
-        raise LpSolveError("iteration/time limit exceeded before optimality")
+        raise LpSolveError("iteration limit exceeded before optimality")
     if result.status is not lp_solver.SolveStatus.OPTIMAL:
         raise LpSolveError(f"internal error: solver status {result.status.value}")
     if result.max_violation > tol_feas:
         raise LpSolveError(
             f"returned point violates constraints by {result.max_violation:.2e}")
     recomputed = instance.objective_of(result.x)
-    if abs(recomputed - result.objective) > tol_obj * max(1.0, abs(recomputed)):
+    if abs(recomputed - result.objective) > OBJECTIVE_TOL * max(1.0, abs(recomputed)):
         raise LpSolveError("solver objective does not match the recomputed inner product")
     s_parts, x_masses = instance.interpret(result.x)
     return LpSolution(

@@ -83,23 +83,16 @@ def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
     return worst
 
 
-def solve(
-    lp: StandardLp,
-    *,
-    max_iterations: int | None = None,
-    time_limit: float | None = None,
-) -> SolveResult:
+def solve(lp: StandardLp, *, max_iterations: int | None = None) -> SolveResult:
     """Solve to proven optimality or report why not.
 
-    An iteration/time cap is an explicit ``ITERATION_LIMIT`` status, never a
+    An iteration cap is an explicit ``ITERATION_LIMIT`` status, never a
     silently suboptimal answer; a numerical failure of the solver raises
     :class:`LpSolveError`.
     """
     options: dict = {"presolve": True}
     if max_iterations is not None:
         options["maxiter"] = max_iterations
-    if time_limit is not None:
-        options["time_limit"] = time_limit
     res = linprog(
         -lp.c,
         A_ub=lp.A_le,

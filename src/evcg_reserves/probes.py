@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .auction import batch_evaluator
-from .lp_model import LpSolution
+from .lp_model import LpInstance, LpSolution
 from .rounding import (
     DISCOUNTED_STREAM,
     INFLATED_STREAM,
@@ -52,8 +52,13 @@ class ProbeContext:
         return self.lp.dataset.auctions[self.auction_index].bids
 
 
-def _interval_prob(dist_row: np.ndarray, grid: tuple[int, ...], lo: int, hi: int) -> float:
-    return float(sum(m for r, m in zip(grid, dist_row) if lo <= r <= hi))
+def _ordered_sum(values: np.ndarray, mask) -> np.ndarray:
+    """Sums of ``values`` under ``mask`` along the last axis, added left to
+    right from 0.0 as a loop over the entries would add them (numpy.sum adds
+    pairwise, which can move the last digits)."""
+    terms = np.where(mask, values, 0.0)
+    start = np.zeros(terms.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([start, terms], axis=-1), axis=-1)[..., -1]
 
 
 def make_probe_context(
@@ -65,31 +70,28 @@ def make_probe_context(
     grid = lp.grid
     x = normalise_masses(masses_matrix(lp.x_masses, grid, dataset.num_buyers))
     splits = split_distributions(x, grid, RoundingParams(boost=boost))
-    bids = dataset.auctions[auction_index].bids
-    n = dataset.num_buyers
-    clear_disc = np.array(
-        [_interval_prob(splits.discounted[b], grid.values, 0, bids[b]) for b in range(n)]
-    )
-    hit_disc = np.array(
-        [_interval_prob(splits.discounted[b], grid.values, tau, bids[b]) for b in range(n)]
-    )
-    hit_infl = np.array(
-        [_interval_prob(splits.inflated[b], grid.values, tau, bids[b]) for b in range(n)]
-    )
+    values = np.array(grid.values)
+    clears = values <= np.array(dataset.auctions[auction_index].bids)[:, None]
+    hits = clears & (values >= tau)
     return ProbeContext(
         lp=lp, auction_index=auction_index, tau=tau, boost=boost, splits=splits,
         x_matrix=x,
-        clear_prob_discounted=clear_disc,
-        hit_prob_discounted=hit_disc,
-        hit_prob_inflated=hit_infl,
+        clear_prob_discounted=_ordered_sum(splits.discounted, clears),
+        hit_prob_discounted=_ordered_sum(splits.discounted, hits),
+        hit_prob_inflated=_ordered_sum(splits.inflated, hits),
     )
+
+
+def _columns(ctx: ProbeContext) -> tuple[np.ndarray, LpInstance, slice]:
+    """The auction's w masses, and the instance with the slice of its w columns."""
+    inst = ctx.lp.instance
+    return ctx.lp.s[ctx.auction_index], inst, inst.w_cols(ctx.auction_index)
 
 
 def mass_above(ctx: ProbeContext) -> float:
     """Fractional mass on sub-profiles of this auction with revenue >= tau."""
-    prof = ctx.lp.instance.subprofiles[ctx.auction_index]
-    s = ctx.lp.s[ctx.auction_index]
-    return float(sum(s[i] for i, p in enumerate(prof) if p.revenue >= ctx.tau))
+    s, inst, cols = _columns(ctx)
+    return float(_ordered_sum(s, inst.w_revenue[cols] >= ctx.tau))
 
 
 class PhiEstimate(NamedTuple):
@@ -156,30 +158,15 @@ def subprofile_partition(ctx: ProbeContext) -> Partition:
     threshold (j_plus), same with reserve below the threshold (j_minus), and
     supporter bids at/above tau (l).  The three are disjoint and cover T.
     """
-    prof = ctx.lp.instance.subprofiles[ctx.auction_index]
-    s = ctx.lp.s[ctx.auction_index]
-    bids = ctx.bids
-    thresholds = ctx.splits.thresholds
-    t_idx, jp, jm, li = [], [], [], []
-    for i, p in enumerate(prof):
-        if p.revenue < ctx.tau:
-            continue
-        t_idx.append(i)
-        if bids[p.supporter] >= ctx.tau:
-            li.append(i)
-        elif p.winner_reserve >= thresholds[p.winner]:
-            jp.append(i)
-        else:
-            jm.append(i)
-
-    def mass(idx: list[int]) -> float:
-        return float(sum(s[i] for i in idx))
-
+    s, inst, cols = _columns(ctx)
+    t = inst.w_revenue[cols] >= ctx.tau
+    high = np.array([bid >= ctx.tau for bid in ctx.bids])[inst.w_supporter[cols]]
+    threshold = np.array([ctx.lp.grid.index(v) for v in ctx.splits.thresholds])
+    reaches = inst.w_r1[cols] >= threshold[inst.w_winner[cols]]
+    classes = (t, t & ~high & reaches, t & ~high & ~reaches, t & high)
     return Partition(
-        t_indices=tuple(t_idx), j_plus=tuple(jp), j_minus=tuple(jm),
-        l_indices=tuple(li),
-        t_mass=mass(t_idx), j_plus_mass=mass(jp), j_minus_mass=mass(jm),
-        l_mass=mass(li),
+        *(tuple(np.flatnonzero(m).tolist()) for m in classes),
+        *(float(_ordered_sum(s, m)) for m in classes),
     )
 
 
@@ -193,18 +180,11 @@ def probe_F_delta(ctx: ProbeContext) -> tuple[float, float]:
     k = ctx.lp.dataset.num_items
     inflated_sum = float(ctx.hit_prob_inflated.sum())
     f_value = mass_above(ctx) - (1.0 - ctx.boost) * min(inflated_sum, float(k))
-    prof = ctx.lp.instance.subprofiles[ctx.auction_index]
-    s = ctx.lp.s[ctx.auction_index]
-    bids = ctx.bids
-    high_bidders = {b for b in range(len(bids)) if bids[b] >= ctx.tau}
-    delta = 0.0
-    for b in high_bidders:
-        delta += sum(
-            s[i]
-            for i, p in enumerate(prof)
-            if p.supporter == b and p.revenue >= ctx.tau
-        ) / k
-    return f_value, delta
+    s, inst, cols = _columns(ctx)
+    high = np.flatnonzero([bid >= ctx.tau for bid in ctx.bids])
+    per_supporter = _ordered_sum(s, (inst.w_supporter[cols] == high[:, None])
+                                 & (inst.w_revenue[cols] >= ctx.tau))
+    return f_value, float(_ordered_sum(per_supporter / k, True))
 
 
 def exact_split_inflated_term(ctx: ProbeContext) -> float:
@@ -215,15 +195,10 @@ def exact_split_inflated_term(ctx: ProbeContext) -> float:
     it is the quantity the high-reserve sub-profile mass is bounded by through
     the LP's reserve-consistency constraints.
     """
-    bids = ctx.bids
-    grid = ctx.lp.grid.values
-    total = 0.0
-    for b in range(len(bids)):
-        lo = max(ctx.tau, ctx.splits.thresholds[b])
-        total += sum(
-            ctx.x_matrix[b, i] for i, r in enumerate(grid) if lo <= r <= bids[b]
-        )
-    return total
+    values = np.array(ctx.lp.grid.values)
+    lo = np.maximum(ctx.tau, np.array(ctx.splits.thresholds))[:, None]
+    hits = (values >= lo) & (values <= np.array(ctx.bids)[:, None])
+    return float(_ordered_sum(_ordered_sum(ctx.x_matrix, hits), True))
 
 
 def payment_thresholds(lp: LpSolution) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evcg_reserves import auction
 from evcg_reserves.auction import (
     AuctionColumn,
     BidDataset,
@@ -18,6 +19,7 @@ from evcg_reserves.auction import (
     zero_reserves,
 )
 from evcg_reserves.baselines import BadExampleSpec, bad_example
+from evcg_reserves.lp_model import encode_reserves
 
 from .conftest import desk_instances, make_dataset, naive_outcome, naive_revenue
 
@@ -181,6 +183,28 @@ def test_matches_naive_reimplementation(case):
         assert out.supporter == supporter
         assert out.payments == payments
         assert out.revenue == rev
+
+
+def test_evaluator_built_once_per_dataset(monkeypatch):
+    built = []
+    init = auction._BatchEvaluator.__init__
+
+    def counting_init(self, dataset):
+        built.append(dataset)
+        init(self, dataset)
+
+    monkeypatch.setattr(auction._BatchEvaluator, "__init__", counting_init)
+    ds = make_dataset(2, [(1, (10, 8, 5)), (3, (4, 9, 7))])
+    assert revenue(ds, zero_reserves(ds)) == revenue(ds, zero_reserves(ds)) == 2 * 5 + 3 * 2 * 4
+    assert len(built) == 1
+    run_evcg(ds, 1, zero_reserves(ds))
+    winners_above(ds, 0, zero_reserves(ds), 5)
+    batch_evaluator(ds)
+    encode_reserves(ds, ReserveGrid.from_dataset(ds), zero_reserves(ds))
+    assert built == [ds]
+    # an equal dataset is another object and builds its own
+    revenue(make_dataset(2, [(1, (10, 8, 5)), (3, (4, 9, 7))]), zero_reserves(ds))
+    assert len(built) == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from evcg_reserves.baselines import BadExampleSpec, bad_example, brute_force_opt
 from evcg_reserves.datasets import random_dataset
 from evcg_reserves.errors import LpSolveError, SizeGuardError
 from evcg_reserves.lp_model import (
+    LpPoint,
     SubProfile,
     build_lp,
     encode_reserves,
@@ -116,7 +117,7 @@ class TestBuildAndSolve:
         assert inst.A_eq.shape[0] == A * n + 3
         assert inst.A_le.shape[0] == y_prime + pairs + A
         assert inst.num_vars == w + 3 * 4 + y_prime
-        assert [len(p) for p in inst.subprofiles] == [w]
+        assert len(inst.w_auction) == w and inst.w_cols(0) == slice(0, w)
 
     def test_objective_matches_inner_product(self):
         for ds in desk_instances(10, seed=31):
@@ -249,6 +250,59 @@ class TestEncode:
                     cols = [inst.yp_col(b, r, a) for r in range(R)]
                     total = sum(vec[c] for c in cols if c is not None)
                     assert min(abs(total), abs(total - 1.0)) <= 1e-9
+
+
+class TestEmbedRejects:
+    """two_bidder_k1: bids (10, 5, 0, 0), k = 1, grid (0, 5, 10); buyers 2, 3 auxiliary."""
+
+    @staticmethod
+    def embed(ds, s=None, x=None, **kwargs):
+        inst = build_lp(ds, grid_of(ds), **kwargs)
+        return inst.embed(LpPoint(s={0: {p: 1.0 for p in s or ()}}, x=x or {}))
+
+    @pytest.mark.parametrize("profile", [
+        SubProfile(0, 0, 5, 10, 10),  # winner == supporter
+        SubProfile(1, 2, 10, 0, 10),  # winner reserve above the winner's bid
+        SubProfile(0, 1, 7, 0, 7),    # winner reserve off the grid
+        SubProfile(0, 1, 5, 10, 5),   # supporter reserve above the supporter's bid
+        SubProfile(0, 1, 5, 0, 6),    # revenue other than max(supporter bid, r1)
+        SubProfile(0, 1, 0, 0, 0),
+    ])
+    def test_invalid_subprofile(self, two_bidder_k1, profile):
+        with pytest.raises(ValueError, match="not valid for auction 0"):
+            self.embed(two_bidder_k1, s=[profile])
+
+    def test_valid_subprofiles(self, two_bidder_k1):
+        vec = self.embed(two_bidder_k1, s=[SubProfile(0, 1, 10, 5, 10),
+                                           SubProfile(1, 2, 5, 0, 5)])
+        assert vec.sum() == 4.0  # two w columns and two y' columns at 1 / k
+
+    def test_auxiliary_mass_away_from_zero(self, two_bidder_k1):
+        self.embed(two_bidder_k1, x={2: {0: 1.0}, 3: {5: 0.0}})
+        with pytest.raises(ValueError, match="reserve 5 of buyer 2"):
+            self.embed(two_bidder_k1, x={2: {5: 1.0}})
+
+    def test_reserve_outside_per_buyer_grid(self, two_bidder_k1):
+        point = {1: {10: 1.0}}  # buyer 1 bids only 5: allowed {0, 5}
+        assert self.embed(two_bidder_k1, x=point).sum() == 1.0
+        with pytest.raises(ValueError, match="outside the buyer's allowed set"):
+            self.embed(two_bidder_k1, x=point, per_buyer_grid=True)
+        assert self.embed(two_bidder_k1, x={1: {5: 1.0}}, per_buyer_grid=True).sum() == 1.0
+
+    def test_interpret_per_buyer_grid(self):
+        # buyer 2 bids 0 everywhere, so it is fixed like the auxiliary buyer 3
+        ds = make_dataset(1, [(1, (10, 5, 0)), (2, (3, 5, 0))])
+        inst = build_lp(ds, grid_of(ds), per_buyer_grid=True)
+        vec = np.arange(inst.num_vars, dtype=float)
+        _, x_masses = inst.interpret(vec)
+        assert {b: sorted(m) for b, m in x_masses.items()} == {
+            0: [0, 3, 10], 1: [0, 5], 2: [0], 3: [0], 4: [0]}
+        assert x_masses[2] == x_masses[3] == {0: 1.0}
+        # the five x columns follow the w columns
+        num_w = len(inst.w_auction)
+        assert [*x_masses[0].values(), *x_masses[1].values()] == list(vec[num_w: num_w + 5])
+        # a fixed real buyer's mass away from 0 is revenue-equivalent: dropped
+        assert not inst.embed(LpPoint(s={}, x={2: {5: 1.0}})).any()
 
 
 class TestInterchangeDump:

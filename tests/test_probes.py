@@ -39,13 +39,13 @@ class TestPartition:
     def test_high_supporters_go_to_l(self, three_bidder_k2):
         sol = solved(three_bidder_k2)
         ctx = make_probe_context(sol, 0, tau=5)
-        prof = sol.instance.subprofiles[0]
+        supporter = sol.instance.w_supporter[sol.instance.w_cols(0)]
         part = subprofile_partition(ctx)
         bids = three_bidder_k2.auctions[0].bids
         for i in part.l_indices:
-            assert bids[prof[i].supporter] >= 5
+            assert bids[supporter[i]] >= 5
         for i in part.j_plus + part.j_minus:
-            assert bids[prof[i].supporter] < 5
+            assert bids[supporter[i]] < 5
 
 
 class TestFDelta:
