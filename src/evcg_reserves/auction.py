@@ -253,9 +253,9 @@ class _BatchEvaluator:
         if not dataset.includes_auxiliaries:
             raise ValueError("batch evaluation requires an augmented dataset")
         self.top = max(max(a.bids) for a in dataset.auctions)
-        bound = sum(a.weight * dataset.num_items * max(a.bids) for a in dataset.auctions)
+        self.bound = sum(a.weight * dataset.num_items * max(a.bids) for a in dataset.auctions)
         # :meth:`row` clips reserves to top + 1, so that value must fit as well
-        self.dtype = np.int64 if max(bound, self.top + 1) < 2**63 else object
+        self.dtype = np.int64 if max(self.bound, self.top + 1) < 2**63 else object
         self.dataset = dataset
         self.k = dataset.num_items
         self.weights = np.array([a.weight for a in dataset.auctions], dtype=self.dtype)
@@ -284,13 +284,18 @@ class _BatchEvaluator:
         payments = np.maximum(res, support_bid[:, None])
         return payments, win_mask, cleared, support_pos
 
+    def auction_revenues(self, auction_index: int, reserve_matrix: np.ndarray) -> np.ndarray:
+        """Revenue of each row of ``reserve_matrix`` in one auction (unweighted)."""
+        reserve_matrix = np.asarray(reserve_matrix, dtype=self.dtype)
+        payments, win_mask, _, _ = self._auction_payments(auction_index, reserve_matrix)
+        return np.where(win_mask, payments, 0).sum(axis=1)
+
     def revenues(self, reserve_matrix: np.ndarray) -> np.ndarray:
         """Weighted total revenue of each row of ``reserve_matrix``."""
         reserve_matrix = np.asarray(reserve_matrix, dtype=self.dtype)
         total = np.zeros(reserve_matrix.shape[0], dtype=self.dtype)
         for i in range(self.dataset.num_auctions):
-            payments, win_mask, _, _ = self._auction_payments(i, reserve_matrix)
-            total += self.weights[i] * np.where(win_mask, payments, 0).sum(axis=1)
+            total += self.weights[i] * self.auction_revenues(i, reserve_matrix)
         return total
 
     def winners_above(self, auction_index: int, reserve_matrix: np.ndarray, tau: int) -> np.ndarray:

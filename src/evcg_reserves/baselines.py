@@ -1,7 +1,8 @@
 """Exact and heuristic baselines, plus the integrality-gap instance.
 
 ``brute_force_opt`` searches the product of per-buyer candidate reserves
-exactly; ``greedy_reserves`` is a reconstructed one-pass coordinate ascent
+exactly, evaluating each auction only on its distinct outcomes;
+``greedy_reserves`` is a reconstructed one-pass coordinate ascent
 (a baseline, not a primary artifact).  ``bad_example`` builds the weighted
 four-column dataset on which naive one-shot rounding of the fractional
 optimum loses to the best reserve vector for large item counts, and
@@ -10,7 +11,8 @@ optimum loses to the best reserve vector for large item counts, and
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import SizeGuardError
 from .lp_model import LpPoint, SubProfile, make_subprofile
 
 DEFAULT_BRUTE_CAP = 10_000_000
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,34 @@ def _candidate_reserves(dataset: BidDataset, grid: ReserveGrid) -> list[list[int
     return cands
 
 
+def _reserve_classes(cands: list[list[int]], bids: tuple[int, ...]) -> list[np.ndarray]:
+    """Per real buyer, the outcome class of each candidate in one auction.
+
+    Candidates at or below the buyer's bid each form their own class; every
+    candidate above it leaves the buyer uncleared, so they share one class,
+    the last.  A class is represented by its first candidate.
+    """
+    return [np.minimum(np.arange(len(c)), bisect.bisect_right(c, bid))
+            for c, bid in zip(cands, bids)]
+
+
+def _class_revenues(evaluator, auction_index: int, reps: list[np.ndarray]) -> np.ndarray:
+    """Unweighted revenue of one auction over the product of its class
+    representatives, evaluated in chunks of at most ``_CHUNK`` rows."""
+    shape = tuple(len(r) for r in reps)
+    size = math.prod(shape)
+    out = np.empty(size, dtype=evaluator.dtype)
+    # auxiliary columns stay 0
+    rows = np.zeros((min(size, _CHUNK), evaluator.dataset.num_buyers), dtype=evaluator.dtype)
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        block = rows[: stop - start]
+        for b, (r, i) in enumerate(zip(reps, np.unravel_index(np.arange(start, stop), shape))):
+            block[:, b] = r[i]
+        out[start:stop] = evaluator.auction_revenues(auction_index, block)
+    return out.reshape(shape)
+
+
 def brute_force_opt(
     dataset: BidDataset,
     grid: ReserveGrid,
@@ -152,8 +183,13 @@ def brute_force_opt(
 ) -> tuple[tuple[int, ...], int]:
     """Exact maximizer over the candidate product; ties break lexicographically.
 
-    Auxiliary reserves stay 0.  Refuses with :class:`SizeGuardError` when the
-    candidate product exceeds ``max_evals``.
+    Each auction is evaluated only on the product of its reserve classes
+    (see :func:`_reserve_classes`), and its weighted revenues are gathered
+    into one tensor over the whole candidate product, whose first maximum in
+    C order is the first in lexicographic order.  Auxiliary reserves stay 0.
+    Refuses with :class:`SizeGuardError` when the candidate product exceeds
+    ``max_evals``, before anything is allocated, so the tensor has at most
+    ``max_evals`` entries of at most 8 bytes (Python ints past 2^63).
     """
     if not dataset.includes_auxiliaries:
         raise ValueError("brute_force_opt requires an augmented dataset")
@@ -166,30 +202,28 @@ def brute_force_opt(
                 f"brute force would need {total}+ evaluations (cap {max_evals})"
             )
     evaluator = batch_evaluator(dataset)
-    n_aux = dataset.num_items + 1
-    best_rev = -1
-    best_vec: tuple[int, ...] | None = None
-    chunk: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        nonlocal best_rev, best_vec
-        if not chunk:
-            return
-        mat = np.array(chunk, dtype=evaluator.dtype)
-        revs = evaluator.revenues(mat)
-        i = int(np.argmax(revs))
-        if int(revs[i]) > best_rev:  # first max in product order = lexicographic
-            best_rev = int(revs[i])
-            best_vec = tuple(int(v) for v in mat[i])
-        chunk.clear()
-
-    for combo in itertools.product(*cands):
-        chunk.append(combo + (0,) * n_aux)
-        if len(chunk) >= 4096:
-            flush()
-    flush()
-    assert best_vec is not None
-    return best_vec, best_rev
+    if not cands:  # no real buyer: the zero vector is the only candidate
+        vec = zero_reserves(dataset)
+        return vec, int(evaluator.revenues(evaluator.row(vec))[0])
+    values = [np.array(c, dtype=evaluator.dtype) for c in cands]
+    # no entry exceeds the evaluator's bound: the narrowest type holding it is exact
+    dtype = object if evaluator.dtype is object else np.min_scalar_type(evaluator.bound)
+    tensor = np.zeros(tuple(len(c) for c in cands), dtype=dtype)
+    for a, auction in enumerate(dataset.auctions):
+        classes = _reserve_classes(cands, auction.bids)
+        reps = [v[: cls[-1] + 1] for v, cls in zip(values, classes)]
+        revs = (evaluator.weights[a] * _class_revenues(evaluator, a, reps)).astype(dtype)
+        last = len(reps[0]) - 1
+        for c0 in range(last + 1):
+            slab = revs[c0]
+            for axis, cls in enumerate(classes[1:]):
+                slab = np.take(slab, cls, axis=axis)
+            # class c0 of buyer 0 is candidate c0, or the last one and all above it
+            tensor[c0 : None if c0 == last else c0 + 1] += slab
+    best = int(np.argmax(tensor))
+    index = np.unravel_index(best, tensor.shape)
+    vec = tuple(c[i] for c, i in zip(cands, index)) + (0,) * (dataset.num_items + 1)
+    return vec, int(tensor.reshape(-1)[best])
 
 
 def greedy_reserves(

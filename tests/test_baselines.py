@@ -1,34 +1,71 @@
 """Exact search, greedy baseline, and the worst-case instance family."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from evcg_reserves.auction import revenue, zero_reserves
+from evcg_reserves import baselines
+from evcg_reserves.auction import (
+    add_auxiliary_buyers,
+    batch_evaluator,
+    revenue,
+    zero_reserves,
+)
 from evcg_reserves.baselines import (
     BadExampleSpec,
+    _candidate_reserves,
     bad_example,
     bad_example_fractional,
     bad_example_optimal_vectors,
     brute_force_opt,
     greedy_reserves,
 )
+from evcg_reserves.datasets import random_dataset
 from evcg_reserves.errors import SizeGuardError
 from evcg_reserves.lp_model import build_lp
 
 from .conftest import desk_instances, grid_of, make_dataset, naive_revenue
 
 
-def full_grid_optimum(ds, grid):
-    """Unpruned exhaustive search over grid^n, the independent oracle."""
-    best = (-1, None)
+def product_order_optimum(ds, values):
+    """Exhaustive search over the product of per-real-buyer ``values``.
+
+    Enumerates in ``itertools.product`` order, evaluates chunks of vectors
+    through the batch evaluator's weighted ``revenues`` and keeps the first
+    maximum: the independent oracle of :func:`brute_force_opt`.
+    """
+    evaluator = batch_evaluator(ds)
     aux = (0,) * (ds.num_items + 1)
-    for combo in itertools.product(grid.values, repeat=ds.num_real_buyers):
-        rev = revenue(ds, combo + aux)
-        if rev > best[0]:
-            best = (rev, combo + aux)
-    return best[1], best[0]
+    best_vec, best_rev = None, -1
+    combos = itertools.product(*values)
+    while chunk := list(itertools.islice(combos, 4096)):
+        mat = np.array([c + aux for c in chunk], dtype=evaluator.dtype)
+        revs = evaluator.revenues(mat)
+        i = int(np.argmax(revs))  # first max within the chunk
+        if revs[i] > best_rev:  # strictly: first max across chunks
+            best_vec, best_rev = tuple(int(v) for v in mat[i]), int(revs[i])
+    return best_vec, best_rev
+
+
+def full_grid_optimum(ds, grid):
+    """Unpruned exhaustive search over grid^n."""
+    return product_order_optimum(ds, [grid.values] * ds.num_real_buyers)
+
+
+def oracle_instances():
+    """Seeded random instances whose candidate product the oracle enumerates quickly."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(83)))
+    out = []
+    while len(out) < 60:
+        nb, na, k = int(rng.integers(1, 7)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        max_bid, max_weight = int(rng.choice([1, 3, 9, 20])), int(rng.choice([1, 5]))
+        ds = add_auxiliary_buyers(random_dataset(
+            nb, na, k, seed=8300 + len(out), max_bid=max_bid, max_weight=max_weight))
+        if math.prod(map(len, _candidate_reserves(ds, grid_of(ds)))) <= 20_000:
+            out.append(ds)
+    return out
 
 
 class TestBruteForce:
@@ -60,15 +97,51 @@ class TestBruteForce:
             _, oracle = full_grid_optimum(ds, grid)
             assert rev == oracle
 
-    def test_cap_refusal(self):
-        ds = bad_example(BadExampleSpec(k=6))
+    def test_cap_refusal(self, monkeypatch):
+        small = bad_example(BadExampleSpec(k=6))
+        # 15 buyers with up to 10 candidates each: ~10^15, far past any tensor
+        huge = add_auxiliary_buyers(random_dataset(15, 30, 2, 0))
+        # the refusal comes before any array is built: without numpy it still refuses
+        monkeypatch.setattr(baselines, "np", None)
         with pytest.raises(SizeGuardError):
-            brute_force_opt(ds, grid_of(ds), max_evals=10)
+            brute_force_opt(small, grid_of(small), max_evals=10)
+        with pytest.raises(SizeGuardError, match=r"\(cap 10000000\)$"):
+            brute_force_opt(huge, grid_of(huge))
+
+    def test_cap_boundary(self, monkeypatch):
+        ds = bad_example(BadExampleSpec(k=3))
+        grid = grid_of(ds)
+        product = math.prod(map(len, _candidate_reserves(ds, grid)))
+        assert brute_force_opt(ds, grid, max_evals=product) == full_grid_optimum(ds, grid)
+        monkeypatch.setattr(baselines, "np", None)
+        with pytest.raises(SizeGuardError,
+                           match=rf"^brute force would need {product}\+ evaluations "
+                                 rf"\(cap {product - 1}\)$"):
+            brute_force_opt(ds, grid, max_evals=product - 1)
 
     def test_exact_past_int64(self, int64_overflow):
         # int64 sums once returned a wrapped "optimum" of 9e18 here
         vec, rev = brute_force_opt(int64_overflow, grid_of(int64_overflow))
         assert rev == naive_revenue(int64_overflow, vec) == 11 * 10**18
+
+    def test_matches_product_order_oracle(self, int64_overflow):
+        ties = make_dataset(2, [(1, (5, 5, 5, 5)), (3, (5, 5, 5, 5)), (2, (5, 5, 5, 5))])
+        no_real = make_dataset(1, [(1, ())])
+        # revenue bounds at the edge of 16 bits, in 32 bits and in 64 bits
+        wide = [make_dataset(1, [(1, (2**16 - 1, 7, 2**16 - 2))]),
+                make_dataset(1, [(1, (2**16, 7, 2**16 - 2))]),
+                make_dataset(2, [(3, (9 * 10**6, 10**6, 0)), (1, (0, 5 * 10**6, 3))]),
+                make_dataset(2, [(3, (4 * 10**12, 10**12, 3 * 10**12)), (1, (0, 5, 2))])]
+        for ds in oracle_instances() + wide + [ties, no_real, int64_overflow]:
+            grid = grid_of(ds)
+            assert brute_force_opt(ds, grid) == product_order_optimum(
+                ds, _candidate_reserves(ds, grid))
+
+    def test_chunk_size_does_not_matter(self, monkeypatch, int64_overflow):
+        cases = oracle_instances()[-10:] + [int64_overflow]
+        expected = [brute_force_opt(ds, grid_of(ds)) for ds in cases]
+        monkeypatch.setattr(baselines, "_CHUNK", 7)
+        assert [brute_force_opt(ds, grid_of(ds)) for ds in cases] == expected
 
     def test_dominates_specific_vectors(self):
         rng = np.random.Generator(np.random.Philox(3))
