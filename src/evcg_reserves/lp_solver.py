@@ -19,6 +19,13 @@ from scipy.optimize import linprog
 from .errors import LpSolveError
 
 
+class SolveMethod(enum.Enum):
+    """HiGHS algorithm; the value is scipy's ``linprog`` method name."""
+
+    DUAL_SIMPLEX = "highs"
+    INTERIOR_POINT = "highs-ipm"  # IPX, followed by crossover to a vertex
+
+
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     ITERATION_LIMIT = "iteration_limit"
@@ -83,12 +90,18 @@ def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
     return worst
 
 
-def solve(lp: StandardLp, *, max_iterations: int | None = None) -> SolveResult:
-    """Solve to proven optimality or report why not.
+def solve(
+    lp: StandardLp,
+    *,
+    max_iterations: int | None = None,
+    method: SolveMethod = SolveMethod.DUAL_SIMPLEX,
+) -> SolveResult:
+    """Solve to proven optimality with ``method`` or report why not.
 
     An iteration cap is an explicit ``ITERATION_LIMIT`` status, never a
     silently suboptimal answer; a numerical failure of the solver raises
-    :class:`LpSolveError`.
+    :class:`LpSolveError`.  ``iterations`` counts simplex iterations, or
+    interior-point iterations (crossover excluded) for ``INTERIOR_POINT``.
     """
     options: dict = {"presolve": True}
     if max_iterations is not None:
@@ -100,7 +113,7 @@ def solve(lp: StandardLp, *, max_iterations: int | None = None) -> SolveResult:
         A_eq=lp.A_eq,
         b_eq=lp.b_eq,
         bounds=(0, None),
-        method="highs",
+        method=method.value,
         options=options,
     )
     status_map = {

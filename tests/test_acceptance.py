@@ -37,6 +37,7 @@ from evcg_reserves.bounds import (
     table2_lower,
     table3_lower,
 )
+from evcg_reserves.datasets import save_dataset
 from evcg_reserves.lp_model import build_lp, encode_reserves, solve_lp
 from evcg_reserves.probes import make_probe_context, payment_thresholds, probe_phi
 from evcg_reserves.rounding import (
@@ -313,8 +314,8 @@ def test_criterion_8_phi_regimes(solved_instances):
 
 def test_criterion_9_byte_identical_reports(tmp_path):
     started = time.perf_counter()
-    dataset = tmp_path / "ds.json"
-    dataset.write_text(json.dumps({
+    small = tmp_path / "ds.json"
+    small.write_text(json.dumps({
         "num_items": 2, "scale": 0, "buyers": ["b1", "b2", "b3", "b4"],
         "auctions": [
             {"weight": 1, "bids": ["9", "5", "0", "3"]},
@@ -322,18 +323,23 @@ def test_criterion_9_byte_identical_reports(tmp_path):
             {"weight": 1, "bids": ["1", "0", "8", "6"]},
         ],
     }))
-    blobs: dict[str, set[bytes]] = {"round": set(), "bench": set()}
-    for command in ("round", "bench"):
-        for attempt, threads in enumerate(("1", "2", "8", "1")):
-            out = tmp_path / f"{command}{attempt}.json"
-            code = cli.main([command, "--dataset", str(dataset), "--seed", "11",
-                             "--samples", "32", "--threads", threads,
-                             "--out", str(out)])
-            assert code == 0
-            blobs[command].add(out.read_bytes())
+    # k=8 takes the interior-point path of solve_lp
+    worstcase = tmp_path / "bad8.json"
+    save_dataset(bad_example(BadExampleSpec(k=8), augmented=False), worstcase)
+    blobs: dict[tuple[str, str], set[bytes]] = {}
+    for dataset in (small, worstcase):
+        for command in ("round", "bench"):
+            blobs[dataset.stem, command] = set()
+            for attempt, threads in enumerate(("1", "2", "8", "1")):
+                out = tmp_path / f"{dataset.stem}-{command}{attempt}.json"
+                code = cli.main([command, "--dataset", str(dataset), "--seed", "11",
+                                 "--samples", "32", "--threads", threads,
+                                 "--out", str(out)])
+                assert code == 0
+                blobs[dataset.stem, command].add(out.read_bytes())
     ok = all(len(v) == 1 for v in blobs.values())
     elapsed = time.perf_counter() - started
     report_line(9, ok,
                 f"round and bench reports byte-identical across repeats and "
-                f"1/2/8 worker threads ({elapsed:.2f}s)")
+                f"1/2/8 worker threads, k=2 and k=8 ({elapsed:.2f}s)")
     assert ok

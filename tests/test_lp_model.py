@@ -6,9 +6,10 @@ import pytest
 from evcg_reserves import lp_solver
 from evcg_reserves.auction import add_auxiliary_buyers, revenue, zero_reserves
 from evcg_reserves.baselines import BadExampleSpec, bad_example, brute_force_opt
-from evcg_reserves.datasets import random_dataset
+from evcg_reserves.datasets import correlated_dataset, random_dataset
 from evcg_reserves.errors import LpSolveError, SizeGuardError
 from evcg_reserves.lp_model import (
+    OBJECTIVE_TOL,
     LpPoint,
     SubProfile,
     build_lp,
@@ -143,10 +144,44 @@ class TestBuildAndSolve:
             assert restricted >= best - 1e-6
 
     def test_iteration_limit_raises(self):
-        ds = bad_example(BadExampleSpec(k=3))
-        inst = build_lp(ds, grid_of(ds))
-        with pytest.raises(LpSolveError):
-            solve_lp(inst, max_iterations=1)
+        for k in (3, 8):  # dual simplex, interior point
+            ds = bad_example(BadExampleSpec(k=k))
+            inst = build_lp(ds, grid_of(ds))
+            with pytest.raises(LpSolveError):
+                solve_lp(inst, max_iterations=1)
+
+    def test_method_follows_item_count(self, monkeypatch):
+        calls = []
+        real = lp_solver.linprog
+
+        def recording(*args, **kwargs):
+            calls.append({key: kwargs[key] for key in ("bounds", "method", "options")})
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp_solver, "linprog", recording)
+        for k in (7, 8):
+            ds = bad_example(BadExampleSpec(k=k))
+            solve_lp(build_lp(ds, grid_of(ds)))
+        assert calls == [
+            {"bounds": (0, None), "method": "highs", "options": {"presolve": True}},
+            {"bounds": (0, None), "method": "highs-ipm", "options": {"presolve": True}},
+        ]
+
+    def test_methods_agree(self):
+        instances = [bad_example(BadExampleSpec(k=k)) for k in (2, 4, 6, 8)]
+        for i, k in enumerate((2, 4, 6, 8, 12)):
+            instances.append(add_auxiliary_buyers(random_dataset(
+                k + 3, 3, k, seed=300 + i, max_bid=9, max_weight=3)))
+            instances.append(add_auxiliary_buyers(correlated_dataset(
+                k + 2, 3, k, seed=400 + i, noise=0.3)))
+        for ds in instances:
+            lp = build_lp(ds, grid_of(ds)).to_standard_lp()
+            simplex, ipm = (lp_solver.solve(lp, method=m) for m in (
+                lp_solver.SolveMethod.DUAL_SIMPLEX, lp_solver.SolveMethod.INTERIOR_POINT))
+            assert simplex.status is ipm.status is lp_solver.SolveStatus.OPTIMAL
+            assert abs(simplex.objective - ipm.objective) <= (
+                OBJECTIVE_TOL * max(1.0, abs(simplex.objective)))
+            assert max(simplex.max_violation, ipm.max_violation) <= 1e-7
 
     def test_solver_objective_disagreeing_with_point_raises(self, monkeypatch,
                                                             two_bidder_k1):
