@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen | solve | round | bench | tables | verify | probe.
-Exit codes: 0 success, 2 validation error or failed LP solve, 3 size-guard
-refusal, 4 tables-snapshot mismatch.  Reports are deterministic for a fixed seed;
-pass --timings to append wall-clock phase durations (which naturally vary
-between runs) to the written report.
+Exit codes: 0 success, 2 validation error, unverified LP solve or I/O error,
+3 size-guard refusal, 4 tables-snapshot mismatch.  Reports are deterministic
+for a fixed seed; pass --timings to append wall-clock phase durations (which
+naturally vary between runs) to the written report.
 """
 
 from __future__ import annotations
@@ -245,6 +245,8 @@ def cmd_tables(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = json.loads(Path(args.report).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("report must be a JSON object")
     dataset_path = args.dataset or doc.get("config", {}).get("dataset")
     if not dataset_path:
         raise ValueError("report carries no dataset path; pass --dataset")
@@ -408,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (ValueError, LpSolveError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, LpSolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -63,22 +63,45 @@ def dataset_to_dict(dataset: BidDataset) -> dict[str, Any]:
     }
 
 
-def dataset_from_dict(data: dict[str, Any]) -> BidDataset:
+def _integer(value: Any, name: str) -> int:
+    """``int(value)``, refusing the booleans and non-integral numbers that
+    ``int`` would accept or truncate."""
+    error = ValueError(f"{name} must be an integer, not {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise error
     try:
-        scale = int(data.get("scale", 0))
-        buyers = tuple(str(b) for b in data["buyers"])
+        return int(value)
+    except (TypeError, ValueError):
+        raise error from None
+
+
+def _list(value: Any, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, not {value!r}")
+    return value
+
+
+def dataset_from_dict(data: dict[str, Any]) -> BidDataset:
+    if not isinstance(data, dict):
+        raise ValueError("dataset must be a JSON object")
+    try:
+        scale = _integer(data.get("scale", 0), "scale")
+        buyers = tuple(str(b) for b in _list(data["buyers"], "buyers"))
         auctions = []
-        for i, a in enumerate(data["auctions"]):
-            if len(a["bids"]) != len(buyers):
+        for i, a in enumerate(_list(data["auctions"], "auctions")):
+            if not isinstance(a, dict):
+                raise ValueError(f"auction {i} must be an object, not {a!r}")
+            bids = _list(a["bids"], f"auction {i}: bids")
+            if len(bids) != len(buyers):
                 raise ValueError(f"auction {i}: expected {len(buyers)} bids")
             auctions.append(
                 AuctionColumn(
-                    weight=int(a["weight"]),
-                    bids=tuple(parse_money(str(b), scale) for b in a["bids"]),
+                    weight=_integer(a["weight"], f"auction {i}: weight"),
+                    bids=tuple(parse_money(str(b), scale) for b in bids),
                 )
             )
         return BidDataset(
-            num_items=int(data["num_items"]),
+            num_items=_integer(data["num_items"], "num_items"),
             buyers=buyers,
             auctions=tuple(auctions),
             scale=scale,

@@ -27,10 +27,9 @@ import scipy.sparse as sp
 
 from . import lp_solver
 from .auction import BidDataset, ReserveGrid, batch_evaluator, validate_reserves
-from .errors import LpSolveError, SizeGuardError
+from .errors import SizeGuardError
 
 DEFAULT_MAX_SUBPROFILES = 500_000
-OBJECTIVE_TOL = 1e-9  # relative gap allowed between HiGHS's objective and c . x
 # From this item count on, solve_lp uses interior point with crossover instead
 # of dual simplex: simplex iterations grow with k (276 at k=4, 10,417 at k=20)
 # while interior-point ones stay at 21-26.  Timed once each on 20 random,
@@ -287,9 +286,6 @@ class LpInstance:
                 total += weight * int(self.w_revenue[self._project(a, p)[0]]) * mass
         return total
 
-    def objective_of(self, vec: np.ndarray) -> float:
-        return float(self.c @ vec)
-
     # -- text interchange ----------------------------------------------------
     def var_names(self) -> list[str]:
         values = self.grid.values
@@ -497,38 +493,21 @@ class LpSolution:
         return self.instance.grid
 
 
-def solve_lp(
-    instance: LpInstance,
-    *,
-    tol_feas: float = 1e-7,
-    max_iterations: int | None = None,
-) -> LpSolution:
-    """Solve and independently verify an assembled instance.
+def solve_lp(instance: LpInstance, *, tol_feas: float = 1e-7) -> LpSolution:
+    """Solve an assembled instance to a verified optimum.
 
-    Infeasible/unbounded statuses cannot occur for well-formed instances and
-    are raised as errors, as is an iteration cap; there is no silently
-    suboptimal return.  The method depends on the item count alone (see
+    :func:`lp_solver.solve` accepts the optimum or rejects the solve with
+    :class:`LpSolveError`.  The method depends on the item count alone (see
     ``INTERIOR_POINT_MIN_ITEMS``), so a dataset always takes the same path.
     """
     method = (lp_solver.SolveMethod.INTERIOR_POINT
               if instance.dataset.num_items >= INTERIOR_POINT_MIN_ITEMS
               else lp_solver.SolveMethod.DUAL_SIMPLEX)
-    result = lp_solver.solve(instance.to_standard_lp(), max_iterations=max_iterations,
-                             method=method)
-    if result.status is lp_solver.SolveStatus.ITERATION_LIMIT:
-        raise LpSolveError("iteration limit exceeded before optimality")
-    if result.status is not lp_solver.SolveStatus.OPTIMAL:
-        raise LpSolveError(f"internal error: solver status {result.status.value}")
-    if result.max_violation > tol_feas:
-        raise LpSolveError(
-            f"returned point violates constraints by {result.max_violation:.2e}")
-    recomputed = instance.objective_of(result.x)
-    if abs(recomputed - result.objective) > OBJECTIVE_TOL * max(1.0, abs(recomputed)):
-        raise LpSolveError("solver objective does not match the recomputed inner product")
+    result = lp_solver.solve(instance.to_standard_lp(), method=method, tol_feas=tol_feas)
     s_parts, x_masses = instance.interpret(result.x)
     return LpSolution(
         instance=instance,
-        objective=recomputed,
+        objective=result.objective,
         s=s_parts,
         x_masses=x_masses,
         vector=result.x,

@@ -1,10 +1,11 @@
 """General-purpose linear-program maximizer.
 
 Thin, solver-neutral layer over scipy's HiGHS backend: maximize ``c . x``
-subject to sparse equality and inequality rows with ``x >= 0``.  Feasibility
-of returned points is re-verified here from the raw matrices, independent of
-the solver's internal state, and solves are deterministic for identical
-input.
+subject to sparse equality and inequality rows with ``x >= 0``.  :func:`solve`
+is the one place that accepts or rejects a solve: it returns a point only
+when HiGHS proves it optimal, the point is feasible when re-verified from the
+raw matrices, and HiGHS's objective agrees with ``c . x``.  Solves are
+deterministic for identical input.
 """
 
 from __future__ import annotations
@@ -18,19 +19,14 @@ from scipy.optimize import linprog
 
 from .errors import LpSolveError
 
+OBJECTIVE_TOL = 1e-9  # relative gap allowed between HiGHS's objective and c . x
+
 
 class SolveMethod(enum.Enum):
     """HiGHS algorithm; the value is scipy's ``linprog`` method name."""
 
     DUAL_SIMPLEX = "highs"
     INTERIOR_POINT = "highs-ipm"  # IPX, followed by crossover to a vertex
-
-
-class SolveStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    ITERATION_LIMIT = "iteration_limit"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass
@@ -58,19 +54,16 @@ class StandardLp:
             if not np.all(np.isfinite(A.data)) or not np.all(np.isfinite(b)):
                 raise ValueError(f"{name} has non-finite coefficients")
 
-    @property
-    def num_vars(self) -> int:
-        return self.c.shape[0]
-
 
 @dataclass
 class SolveResult:
-    status: SolveStatus
-    x: np.ndarray | None
-    objective: float | None
-    iterations: int = 0
-    max_violation: float | None = None
-    complementarity: float | None = None
+    """A verified optimum; ``objective`` is ``c . x``."""
+
+    x: np.ndarray
+    objective: float
+    iterations: int
+    max_violation: float
+    complementarity: float | None
 
 
 def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
@@ -93,19 +86,18 @@ def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
 def solve(
     lp: StandardLp,
     *,
-    max_iterations: int | None = None,
     method: SolveMethod = SolveMethod.DUAL_SIMPLEX,
+    tol_feas: float = 1e-7,
 ) -> SolveResult:
-    """Solve to proven optimality with ``method`` or report why not.
+    """Solve with ``method`` and return the optimum only once it is verified.
 
-    An iteration cap is an explicit ``ITERATION_LIMIT`` status, never a
-    silently suboptimal answer; a numerical failure of the solver raises
-    :class:`LpSolveError`.  ``iterations`` counts simplex iterations, or
-    interior-point iterations (crossover excluded) for ``INTERIOR_POINT``.
+    Raises :class:`LpSolveError`, carrying HiGHS's status and message, unless
+    HiGHS reports optimal, :func:`feasibility_violation` of the point is at
+    most ``tol_feas``, and HiGHS's objective matches ``c . x`` within
+    ``OBJECTIVE_TOL``; there is no silently suboptimal return.
+    ``iterations`` counts simplex iterations, or interior-point iterations
+    (crossover excluded) for ``INTERIOR_POINT``.
     """
-    options: dict = {"presolve": True}
-    if max_iterations is not None:
-        options["maxiter"] = max_iterations
     res = linprog(
         -lp.c,
         A_ub=lp.A_le,
@@ -114,27 +106,24 @@ def solve(
         b_eq=lp.b_eq,
         bounds=(0, None),
         method=method.value,
-        options=options,
+        options={"presolve": True},
     )
-    status_map = {
-        0: SolveStatus.OPTIMAL,
-        1: SolveStatus.ITERATION_LIMIT,
-        2: SolveStatus.INFEASIBLE,
-        3: SolveStatus.UNBOUNDED,
-    }
-    if res.status not in status_map:
-        raise LpSolveError(f"solver reported a numerical failure: {res.message}")
-    status = status_map[res.status]
-    if status is not SolveStatus.OPTIMAL:
-        return SolveResult(status=status, x=None, objective=None,
-                           iterations=int(getattr(res, "nit", 0) or 0))
+    highs = f"(status {res.status}: {res.message})"
+    if res.status != 0:
+        raise LpSolveError(f"solver did not reach a proven optimum {highs}")
     x = np.asarray(res.x, dtype=float)
+    violation = feasibility_violation(lp, x)
+    if violation > tol_feas:
+        raise LpSolveError(f"returned point violates constraints by {violation:.2e} {highs}")
+    objective = float(lp.c @ x)
+    if abs(objective + res.fun) > OBJECTIVE_TOL * max(1.0, abs(objective)):
+        raise LpSolveError(
+            f"solver objective does not match the recomputed inner product {highs}")
     return SolveResult(
-        status=SolveStatus.OPTIMAL,
         x=x,
-        objective=float(-res.fun),  # the solver's own value, checked by callers
-        iterations=int(getattr(res, "nit", 0) or 0),
-        max_violation=feasibility_violation(lp, x),
+        objective=objective,
+        iterations=int(res.nit),
+        max_violation=violation,
         complementarity=_complementarity_residual(lp, x, res),
     )
 

@@ -33,8 +33,8 @@ from .rounding import (
 class ProbeContext:
     """One (auction, tau) probe against a solved LP.
 
-    Carries the rounding splits and the per-buyer closed-form probabilities
-    of clearing (discounted draw) and of landing in [tau, bid] (both draws).
+    Carries the rounding splits and the per-buyer closed-form probability of
+    landing in [tau, bid] under the inflated draw.
     """
 
     lp: LpSolution
@@ -42,10 +42,8 @@ class ProbeContext:
     tau: int
     boost: float
     splits: SplitDistributions
-    x_matrix: np.ndarray               # renormalized per-buyer reserve masses
-    clear_prob_discounted: np.ndarray  # Pr[r_b <= bid_b]
-    hit_prob_discounted: np.ndarray    # Pr[tau <= r_b <= bid_b]
-    hit_prob_inflated: np.ndarray      # Pr[tau <= r'_b <= bid_b]
+    x_matrix: np.ndarray           # renormalized per-buyer reserve masses
+    hit_prob_inflated: np.ndarray  # Pr[tau <= r'_b <= bid_b]
 
     @property
     def bids(self) -> tuple[int, ...]:
@@ -71,13 +69,11 @@ def make_probe_context(
     x = normalise_masses(masses_matrix(lp.x_masses, grid, dataset.num_buyers))
     splits = split_distributions(x, grid, RoundingParams(boost=boost))
     values = np.array(grid.values)
-    clears = values <= np.array(dataset.auctions[auction_index].bids)[:, None]
-    hits = clears & (values >= tau)
+    bids = np.array(dataset.auctions[auction_index].bids)[:, None]
+    hits = (values >= tau) & (values <= bids)
     return ProbeContext(
         lp=lp, auction_index=auction_index, tau=tau, boost=boost, splits=splits,
         x_matrix=x,
-        clear_prob_discounted=_ordered_sum(splits.discounted, clears),
-        hit_prob_discounted=_ordered_sum(splits.discounted, hits),
         hit_prob_inflated=_ordered_sum(splits.inflated, hits),
     )
 

@@ -241,10 +241,12 @@ class TestExitCodes:
 
         from evcg_reserves import lp_solver
 
-        monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
-            status=4, message="numerical difficulties", x=None, nit=0))
-        assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
-        assert "numerical failure: numerical difficulties" in capsys.readouterr().err
+        for status in (1, 2, 3, 4):
+            message = f"highs message {status}"
+            monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
+                status=status, message=message, x=None, fun=None, nit=0))
+            assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
+            assert f"(status {status}: {message})" in capsys.readouterr().err
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -259,6 +261,44 @@ class TestExitCodes:
         bad.write_text(json.dumps({"num_items": 1, "buyers": ["a"],
                                    "auctions": [{"weight": 1, "bids": ["1", "2"]}]}))
         assert run(["solve", "--dataset", str(bad)]) == cli.EXIT_VALIDATION
+
+    def test_malformed_dataset(self, tmp_path, capsys):
+        """Each malformed structure exits 2 with an error naming the field."""
+        def dataset(**changes):
+            return {**DATASET, **changes}
+
+        auction = DATASET["auctions"][0]
+        cases = [
+            ([1, 2], "dataset must be a JSON object"),
+            (dataset(auctions=5), "auctions must be a list"),
+            (dataset(buyers="b1"), "buyers must be a list"),
+            (dataset(auctions=[7]), "auction 0 must be an object"),
+            (dataset(auctions=[{**auction, "bids": "950"}]), "auction 0: bids must be a list"),
+            (dataset(auctions=[{**auction, "weight": 2.9}]), "auction 0: weight must be an"),
+            (dataset(auctions=[{**auction, "weight": True}]), "auction 0: weight must be an"),
+            (dataset(auctions=[{**auction, "weight": None}]), "auction 0: weight must be an"),
+            (dataset(num_items=1.5), "num_items must be an integer"),
+            (dataset(num_items=True), "num_items must be an integer"),
+            (dataset(scale=0.5), "scale must be an integer"),
+            (dataset(scale=False), "scale must be an integer"),
+        ]
+        path = tmp_path / "bad.json"
+        for data, error in cases:
+            path.write_text(json.dumps(data))
+            assert run(["solve", "--dataset", str(path)]) == cli.EXIT_VALIDATION, data
+            assert error in capsys.readouterr().err, data
+
+    def test_io_errors(self, dataset_file, tmp_path, capsys):
+        assert run(["solve", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert run(["solve", "--dataset", dataset_file,
+                    "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.count("Is a directory") == 2
+
+    def test_verify_rejects_non_object_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("[]")
+        assert run(["verify", "--report", str(report)]) == cli.EXIT_VALIDATION
+        assert "report must be a JSON object" in capsys.readouterr().err
 
 
 class TestReportRendering:

@@ -9,17 +9,18 @@ import scipy.sparse as sp
 from evcg_reserves import lp_solver
 from evcg_reserves.errors import LpSolveError
 from evcg_reserves.lp_solver import (
-    SolveStatus,
+    SolveMethod,
     StandardLp,
     feasibility_violation,
     solve,
 )
 
+METHODS = (SolveMethod.DUAL_SIMPLEX, SolveMethod.INTERIOR_POINT)
+
 
 def test_single_variable_box():
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
     res = solve(lp)
-    assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(3.0, abs=1e-9)
 
 
@@ -30,13 +31,14 @@ def test_equality_constrained():
         b_eq=np.array([1.0]),
     )
     res = solve(lp)
-    assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unbounded():
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[-1.0]]), b_le=np.array([1.0]))
-    assert solve(lp).status is SolveStatus.UNBOUNDED
+    for method in METHODS:
+        with pytest.raises(LpSolveError, match="status 3: The problem is unbounded"):
+            solve(lp, method=method)
 
 
 def test_infeasible():
@@ -44,7 +46,9 @@ def test_infeasible():
         c=np.array([1.0]),
         A_le=sp.csr_matrix([[1.0]]), b_le=np.array([-1.0]),
     )
-    assert solve(lp).status is SolveStatus.INFEASIBLE
+    for method in METHODS:
+        with pytest.raises(LpSolveError, match="status 2: The problem is infeasible"):
+            solve(lp, method=method)
 
 
 def test_dimension_mismatch_rejected():
@@ -86,8 +90,8 @@ def test_planted_optima():
         n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         lp, opt = _planted_lp(rng, n, m)
         res = solve(lp)
-        assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(opt, abs=1e-7)
+        assert res.objective == float(lp.c @ res.x)
         # feasibility re-verified from the raw matrices, not solver state
         assert feasibility_violation(lp, res.x) <= 1e-9
 
@@ -103,21 +107,27 @@ def test_reported_violation_matches_recomputation():
     assert res.max_violation <= 1e-9
 
 
-def test_iteration_limit_is_explicit():
-    rng = np.random.Generator(np.random.Philox(7))
-    lp, _ = _planted_lp(rng, 30, 40)
-    res = solve(lp, max_iterations=1)
-    assert res.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.OPTIMAL)
-    if res.status is SolveStatus.ITERATION_LIMIT:
-        assert res.x is None and res.objective is None
-
-
 def test_numerical_failure_raises(monkeypatch):
+    """Every HiGHS status but optimal (0) raises, carrying status and message."""
+    lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
+    for status in (1, 2, 3, 4):
+        message = f"highs message {status}"
+        monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
+            status=status, message=message, x=None, fun=None, nit=0))
+        with pytest.raises(LpSolveError, match=f"status {status}: {message}"):
+            solve(lp)
+
+
+def test_infeasible_point_raises(monkeypatch):
+    """An 'optimal' point past tol_feas is rejected; the bound is inclusive."""
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
     monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
-        status=4, message="numerical difficulties", x=None, nit=0))
-    with pytest.raises(LpSolveError, match="numerical difficulties"):
-        solve(lp)
+        status=0, message="optimal", x=np.array([3.5]), fun=-3.5, nit=1))
+    violation = feasibility_violation(lp, np.array([3.5]))  # 0.5 / 7.5
+    with pytest.raises(LpSolveError, match="violates constraints by 6.67e-02"):
+        solve(lp, tol_feas=0.06)
+    res = solve(lp, tol_feas=violation)
+    assert res.objective == 3.5 and res.max_violation == violation
 
 
 def test_deterministic_repeat():
