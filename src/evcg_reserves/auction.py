@@ -259,62 +259,98 @@ class _BatchEvaluator:
         self.dataset = dataset
         self.k = dataset.num_items
         self.weights = np.array([a.weight for a in dataset.auctions], dtype=self.dtype)
-        self.orders = []
-        self.bids_ordered = []
+        # a walk counts at most every buyer: the narrowest type holding that
+        # keeps its per-entry count arrays small
+        self.count_dtype = np.min_scalar_type(len(dataset.buyers))
+        # per auction, (buyer, bid) in bid order, ties by index
+        self.walks = []
         for a in dataset.auctions:
             order = sorted(range(len(a.bids)), key=lambda b: (-a.bids[b], b))
-            self.orders.append(np.array(order))
-            self.bids_ordered.append(np.array([a.bids[b] for b in order], dtype=self.dtype))
+            bids = np.array([a.bids[b] for b in order], dtype=self.dtype)
+            self.walks.append(list(zip(order, bids)))
 
     def row(self, reserves: ReserveVector) -> np.ndarray:
         """One reserve vector as a one-row matrix; a reserve above every bid,
         which never clears, becomes top + 1."""
         return np.array([[min(r, self.top + 1) for r in reserves]], dtype=self.dtype)
 
-    def _auction_payments(self, auction_index: int, reserve_matrix: np.ndarray):
-        """Per-sample payments, winner and cleared masks and supporter, in bid order."""
-        order = self.orders[auction_index]
-        bids = self.bids_ordered[auction_index]
-        res = reserve_matrix[:, order]
-        cleared = bids[None, :] >= res
-        rank = np.cumsum(cleared, axis=1)
-        win_mask = cleared & (rank <= self.k)
-        support_pos = np.argmax(rank == self.k + 1, axis=1)
-        support_bid = bids[support_pos]
-        payments = np.maximum(res, support_bid[:, None])
-        return payments, win_mask, cleared, support_pos
+    def _walk(self, auction_index: int, reserves):
+        """Winners and supporter of one auction, entry by entry.
 
-    def auction_revenues(self, auction_index: int, reserve_matrix: np.ndarray) -> np.ndarray:
-        """Revenue of each row of ``reserve_matrix`` in one auction (unweighted)."""
-        reserve_matrix = np.asarray(reserve_matrix, dtype=self.dtype)
-        payments, win_mask, _, _ = self._auction_payments(auction_index, reserve_matrix)
-        return np.where(win_mask, payments, 0).sum(axis=1)
+        ``reserves[b]`` is buyer b's reserve, an array (or scalar); the
+        buyers' arrays broadcast against each other and every result has
+        their broadcast shape, over the axes of the buyers visited.  The walk
+        takes the buyers in bid order with a running count of cleared
+        buyers: a cleared buyer wins while the count is below k and supports
+        when it equals k; it stops once every entry has k + 1 cleared
+        buyers.  Returns ``(winners, support_bid, supporters)``: ``(buyer,
+        wins)`` for each buyer that may win, the supporter's bid, and
+        ``(buyer, supports)`` for each buyer that may support.
+        """
+        k = self.k
+        count = np.zeros((), dtype=self.count_dtype)  # cleared buyers so far
+        low = 0  # the least count over the entries
+        support_bid = np.zeros((), dtype=self.dtype)
+        winners, supporters = [], []
+        for step, (buyer, bid) in enumerate(self.walks[auction_index]):
+            cleared = bid >= reserves[buyer]
+            if step < k:  # every count is below k yet
+                winners.append((buyer, cleared))
+                count = count + cleared
+                continue
+            if low < k:
+                winners.append((buyer, cleared & (count < k)))
+            supports = cleared & (count == k)
+            supporters.append((buyer, supports))
+            support_bid = np.where(supports, bid, support_bid)
+            count = count + cleared
+            low = count.min()
+            if low > k:
+                break
+        return winners, support_bid, supporters
+
+    def auction_revenues(self, auction_index: int, reserves) -> np.ndarray:
+        """Revenue of one auction (unweighted) over per-buyer reserve arrays
+        that broadcast against each other (see :meth:`_walk`): each winner
+        pays max(own reserve, supporter's bid)."""
+        winners, support_bid, _ = self._walk(auction_index, reserves)
+        total = np.zeros_like(support_bid)
+        payment = np.empty_like(support_bid)
+        for buyer, wins in winners:
+            np.maximum(reserves[buyer], support_bid, out=payment)
+            np.add(total, payment, out=total, where=wins)
+        return total
+
+    def _columns(self, reserve_matrix: np.ndarray) -> np.ndarray:
+        """The matrix's columns, each contiguous: one reserve array per buyer."""
+        return np.ascontiguousarray(np.asarray(reserve_matrix, dtype=self.dtype).T)
 
     def revenues(self, reserve_matrix: np.ndarray) -> np.ndarray:
         """Weighted total revenue of each row of ``reserve_matrix``."""
-        reserve_matrix = np.asarray(reserve_matrix, dtype=self.dtype)
-        total = np.zeros(reserve_matrix.shape[0], dtype=self.dtype)
+        columns = self._columns(reserve_matrix)
+        total = np.zeros(columns.shape[1], dtype=self.dtype)
         for i in range(self.dataset.num_auctions):
-            total += self.weights[i] * self.auction_revenues(i, reserve_matrix)
+            total += self.weights[i] * self.auction_revenues(i, columns)
         return total
 
     def winners_above(self, auction_index: int, reserve_matrix: np.ndarray, tau: int) -> np.ndarray:
         """Per-row count of winners paying >= tau in one auction (unweighted)."""
         if tau <= 0:
             raise ValueError("tau must be positive")
-        reserve_matrix = np.asarray(reserve_matrix, dtype=self.dtype)
-        payments, win_mask, _, _ = self._auction_payments(auction_index, reserve_matrix)
-        return (win_mask & (payments >= tau)).sum(axis=1)
+        columns = self._columns(reserve_matrix)
+        winners, support_bid, _ = self._walk(auction_index, columns)
+        return sum(wins & (np.maximum(columns[b], support_bid) >= tau) for b, wins in winners)
 
     def outcome(self, auction_index: int, reserves: ReserveVector) -> AuctionOutcome:
         """Winners, supporter and payments of one auction under one reserve vector."""
-        order = self.orders[auction_index]
-        row = self.row(reserves)
-        payments, win, cleared, support = self._auction_payments(auction_index, row)
-        paid = {int(w): int(p) for w, p in zip(order[win[0]], payments[0][win[0]])}
+        row = self.row(reserves)[0]
+        winners, support_bid, supporters = self._walk(auction_index, row)
+        paid = {b: int(max(row[b], support_bid)) for b, wins in winners if wins}
+        bids = self.dataset.auctions[auction_index].bids
         return AuctionOutcome(
-            cleared=frozenset(int(b) for b in order[cleared[0]]), winners=tuple(paid),
-            supporter=int(order[support[0]]), payments=paid, revenue=sum(paid.values()))
+            cleared=frozenset(b for b, bid in enumerate(bids) if bid >= row[b]),
+            winners=tuple(paid), supporter=next(b for b, supports in supporters if supports),
+            payments=paid, revenue=sum(paid.values()))
 
 
 def batch_evaluator(dataset: BidDataset) -> _BatchEvaluator:

@@ -12,6 +12,7 @@ optimum loses to the best reserve vector for large item counts, and
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .errors import SizeGuardError
 from .lp_model import LpPoint, SubProfile, make_subprofile
 
 DEFAULT_BRUTE_CAP = 10_000_000
-_CHUNK = 4096
+_CHUNK = 2**18  # entries per slab of an auction's class product
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,33 @@ def _reserve_classes(cands: list[list[int]], bids: tuple[int, ...]) -> list[np.n
             for c, bid in zip(cands, bids)]
 
 
-def _class_revenues(evaluator, auction_index: int, reps: list[np.ndarray]) -> np.ndarray:
-    """Unweighted revenue of one auction over the product of its class
-    representatives, evaluated in chunks of at most ``_CHUNK`` rows."""
+def _class_revenues(evaluator, auction_index: int, reps: list[np.ndarray], dtype) -> np.ndarray:
+    """Weighted revenue of one auction over the product of its class
+    representatives, as a tensor of ``dtype``.
+
+    Each real buyer's representatives lie along the buyer's own axis and
+    auxiliary reserves are 0, so the evaluator's arrays span only the axes of
+    the buyers it has visited.  The product is evaluated in slabs of at most
+    ``_CHUNK`` entries: the leading axes before ``split`` are fixed to one
+    class each, axis ``split`` is cut into ranges, the axes after it are whole.
+    """
     shape = tuple(len(r) for r in reps)
-    size = math.prod(shape)
-    out = np.empty(size, dtype=evaluator.dtype)
-    # auxiliary columns stay 0
-    rows = np.zeros((min(size, _CHUNK), evaluator.dataset.num_buyers), dtype=evaluator.dtype)
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        block = rows[: stop - start]
-        for b, (r, i) in enumerate(zip(reps, np.unravel_index(np.arange(start, stop), shape))):
-            block[:, b] = r[i]
-        out[start:stop] = evaluator.auction_revenues(auction_index, block)
-    return out.reshape(shape)
+    split = 0
+    while math.prod(shape[split + 1:]) > _CHUNK:
+        split += 1
+    step = _CHUNK // math.prod(shape[split + 1:])
+    # buyer b's representatives along axis b - split of a slab
+    axes = [r.reshape((-1,) + (1,) * (len(shape) - 1 - b)) for b, r in enumerate(reps)]
+    aux = [0] * (evaluator.k + 1)
+    weight = evaluator.weights[auction_index]
+    out = np.empty(shape, dtype=dtype)
+    for fixed in itertools.product(*map(range, shape[:split])):
+        lead = [r[i] for r, i in zip(reps, fixed)]
+        for lo in range(0, shape[split], step):
+            reserves = lead + [axes[split][lo : lo + step]] + axes[split + 1:] + aux
+            out[fixed + (slice(lo, lo + step),)] = (
+                weight * evaluator.auction_revenues(auction_index, reserves))
+    return out
 
 
 def brute_force_opt(
@@ -212,7 +225,7 @@ def brute_force_opt(
     for a, auction in enumerate(dataset.auctions):
         classes = _reserve_classes(cands, auction.bids)
         reps = [v[: cls[-1] + 1] for v, cls in zip(values, classes)]
-        revs = (evaluator.weights[a] * _class_revenues(evaluator, a, reps)).astype(dtype)
+        revs = _class_revenues(evaluator, a, reps, dtype)
         last = len(reps[0]) - 1
         for c0 in range(last + 1):
             slab = revs[c0]

@@ -247,22 +247,29 @@ def cmd_verify(args) -> int:
     doc = json.loads(Path(args.report).read_text())
     if not isinstance(doc, dict):
         raise ValueError("report must be a JSON object")
-    dataset_path = args.dataset or doc.get("config", {}).get("dataset")
+    config = datasets.expect_object(doc.get("config", {}), "report field config")
+    dataset_path = args.dataset or config.get("dataset")
     if not dataset_path:
         raise ValueError("report carries no dataset path; pass --dataset")
+    if not isinstance(dataset_path, str):
+        raise ValueError(f"report field config.dataset must be a path, not {dataset_path!r}")
     augmented = add_auxiliary_buyers(datasets.load_dataset(dataset_path))
     scale = augmented.scale
-    if doc.get("dataset", {}).get("scale", scale) != scale:
+    section = datasets.expect_object(doc.get("dataset", {}), "report field dataset")
+    if section.get("scale", scale) != scale:
         raise ValueError("report scale does not match the dataset")
+    methods = datasets.expect_object(doc.get("methods", {}), "report field methods")
     mismatches = []
     checked = 0
     n_aux = augmented.num_items + 1
-    for name in sorted(doc.get("methods", {})):
-        entry = doc["methods"][name]
+    for name in sorted(methods):
+        field = f"report field methods.{name}"
+        entry = datasets.expect_object(methods[name], field)
         if "reserves" not in entry or "revenue" not in entry:
             continue
         reserves = tuple(
-            datasets.parse_money(r, scale) for r in entry["reserves"]
+            datasets.parse_money(str(r), scale)
+            for r in datasets.expect_list(entry["reserves"], f"{field}.reserves")
         ) + (0,) * n_aux
         recomputed = datasets.format_money(revenue(augmented, reserves), scale)
         checked += 1

@@ -75,9 +75,17 @@ def _integer(value: Any, name: str) -> int:
         raise error from None
 
 
-def _list(value: Any, name: str) -> list:
+def expect_list(value: Any, name: str) -> list:
+    """``value`` if it is a JSON list; otherwise a ``ValueError`` naming ``name``."""
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list, not {value!r}")
+    return value
+
+
+def expect_object(value: Any, name: str) -> dict:
+    """``value`` if it is a JSON object; otherwise a ``ValueError`` naming ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, not {value!r}")
     return value
 
 
@@ -86,12 +94,11 @@ def dataset_from_dict(data: dict[str, Any]) -> BidDataset:
         raise ValueError("dataset must be a JSON object")
     try:
         scale = _integer(data.get("scale", 0), "scale")
-        buyers = tuple(str(b) for b in _list(data["buyers"], "buyers"))
+        buyers = tuple(str(b) for b in expect_list(data["buyers"], "buyers"))
         auctions = []
-        for i, a in enumerate(_list(data["auctions"], "auctions")):
-            if not isinstance(a, dict):
-                raise ValueError(f"auction {i} must be an object, not {a!r}")
-            bids = _list(a["bids"], f"auction {i}: bids")
+        for i, a in enumerate(expect_list(data["auctions"], "auctions")):
+            expect_object(a, f"auction {i}")
+            bids = expect_list(a["bids"], f"auction {i}: bids")
             if len(bids) != len(buyers):
                 raise ValueError(f"auction {i}: expected {len(buyers)} bids")
             auctions.append(
@@ -144,11 +151,12 @@ def save_reserves(dataset: BidDataset, reserves: tuple[int, ...], path: str | Pa
 
 def load_reserves(path: str | Path, dataset: BidDataset) -> tuple[int, ...]:
     """Load a reserve vector, re-appending auxiliary zeros if needed."""
-    data = json.loads(Path(path).read_text())
-    scale = int(data.get("scale", dataset.scale))
+    data = expect_object(json.loads(Path(path).read_text()), "reserve file")
+    scale = _integer(data.get("scale", dataset.scale), "scale")
     if scale != dataset.scale:
         raise ValueError("reserve-vector scale does not match the dataset")
-    values = tuple(parse_money(str(r), scale) for r in data["reserves"])
+    values = tuple(parse_money(str(r), scale)
+                   for r in expect_list(data.get("reserves"), "reserves"))
     if list(data.get("buyers", dataset.buyers[: len(values)])) != list(
         dataset.buyers[: len(values)]
     ):
@@ -206,17 +214,18 @@ def save_masses(
 
 def load_masses(path: str | Path, dataset: BidDataset) -> dict[int, dict[int, float]]:
     """Load per-buyer reserve masses keyed by buyer index and money units."""
-    data = json.loads(Path(path).read_text())
-    scale = int(data.get("scale", dataset.scale))
+    data = expect_object(json.loads(Path(path).read_text()), "mass file")
+    scale = _integer(data.get("scale", dataset.scale), "scale")
     if scale != dataset.scale:
         raise ValueError("mass-file scale does not match the dataset")
     buyer_index = {name: i for i, name in enumerate(dataset.buyers)}
     out: dict[int, dict[int, float]] = {}
-    for name, masses in data["x"].items():
+    for name, masses in expect_object(data.get("x"), "x").items():
         if name not in buyer_index:
             raise ValueError(f"unknown buyer {name!r} in mass file")
         out[buyer_index[name]] = {
-            parse_money(r, scale): float(m) for r, m in masses.items()
+            parse_money(r, scale): float(m)
+            for r, m in expect_object(masses, f"x.{name}").items()
         }
     return out
 

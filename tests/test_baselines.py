@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from evcg_reserves import baselines
+from evcg_reserves import auction, baselines
 from evcg_reserves.auction import (
     add_auxiliary_buyers,
     batch_evaluator,
@@ -142,6 +142,44 @@ class TestBruteForce:
         expected = [brute_force_opt(ds, grid_of(ds)) for ds in cases]
         monkeypatch.setattr(baselines, "_CHUNK", 7)
         assert [brute_force_opt(ds, grid_of(ds)) for ds in cases] == expected
+
+    def test_matches_naive_oracle(self):
+        """Brute force against the naive re-implementation alone: no batch
+        evaluator scores the candidates here."""
+        checked = 0
+        for ds in oracle_instances():
+            cands = _candidate_reserves(ds, grid_of(ds))
+            if math.prod(map(len, cands)) > 2_000:
+                continue
+            vec, rev = brute_force_opt(ds, grid_of(ds))
+            aux = (0,) * (ds.num_items + 1)
+            assert rev == naive_revenue(ds, vec) == max(
+                naive_revenue(ds, c + aux) for c in itertools.product(*cands))
+            checked += 1
+        assert checked == 51
+
+    def test_slabs_stay_within_chunk(self, monkeypatch):
+        """The evaluator never receives more than ``_CHUNK`` entries from
+        brute force, counted over the broadcast of all its reserve arrays."""
+        received = []
+        kernel = auction._BatchEvaluator.auction_revenues
+
+        def recording(self, auction_index, reserves):
+            received.append(math.prod(np.broadcast_shapes(*map(np.shape, reserves))))
+            return kernel(self, auction_index, reserves)
+
+        monkeypatch.setattr(auction._BatchEvaluator, "auction_revenues", recording)
+        # the largest class product here is 324,000 entries, past the default chunk
+        largest = add_auxiliary_buyers(random_dataset(6, 40, 2, 0, max_bid=9, max_weight=5))
+        cases = [(largest, baselines._CHUNK)] + [
+            (ds, chunk) for ds in oracle_instances()[:20] for chunk in (1, 7, 60)]
+        for ds, chunk in cases:
+            monkeypatch.setattr(baselines, "_CHUNK", chunk)
+            received.clear()
+            brute_force_opt(ds, grid_of(ds))
+            assert max(received) <= chunk
+            if ds is largest:  # slabs were cut, each as large as the chunk allows
+                assert len(received) > ds.num_auctions and max(received) > chunk // 2
 
     def test_dominates_specific_vectors(self):
         rng = np.random.Generator(np.random.Philox(3))

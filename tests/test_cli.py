@@ -300,6 +300,31 @@ class TestExitCodes:
         assert run(["verify", "--report", str(report)]) == cli.EXIT_VALIDATION
         assert "report must be a JSON object" in capsys.readouterr().err
 
+    def test_verify_rejects_malformed_report(self, dataset_file, tmp_path, capsys):
+        """Each malformed nested field exits 2 with an error naming the field."""
+        def report(**changes):
+            return {"config": {"dataset": dataset_file}, "dataset": {"scale": 0},
+                    "methods": {"zero": {"reserves": ["0", "0", "0"], "revenue": "13"}},
+                    **changes}
+
+        cases = [
+            (report(config=[]), "report field config must be an object"),
+            (report(config={"dataset": 7}), "report field config.dataset must be a path"),
+            (report(dataset=7), "report field dataset must be an object"),
+            (report(methods=[]), "report field methods must be an object"),
+            (report(methods={"zero": 5}), "report field methods.zero must be an object"),
+            (report(methods={"zero": {"reserves": 5, "revenue": "13"}}),
+             "report field methods.zero.reserves must be a list"),
+        ]
+        path = tmp_path / "report.json"
+        for doc, error in cases:
+            path.write_text(json.dumps(doc))
+            assert run(["verify", "--report", str(path)]) == cli.EXIT_VALIDATION, doc
+            assert error in capsys.readouterr().err, doc
+        # the well-formed report these cases start from verifies
+        path.write_text(json.dumps(report()))
+        assert run(["verify", "--report", str(path)]) == cli.EXIT_OK
+
 
 class TestReportRendering:
     def test_ratios_recomputed_not_stored(self, dataset_file, tmp_path):

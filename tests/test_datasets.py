@@ -109,6 +109,17 @@ class TestReserveFiles:
         with pytest.raises(ValueError):
             load_reserves(path, ds)
 
+    def test_malformed_file_rejected(self, tmp_path):
+        ds = make_dataset(1, [(1, (10, 5))])
+        path = tmp_path / "res.json"
+        for data, error in [([], "reserve file must be an object"),
+                            ({"reserves": "10"}, "reserves must be a list"),
+                            ({"scale": 0}, "reserves must be a list, not None"),
+                            ({"scale": 0.5, "reserves": ["10"]}, "scale must be an integer")]:
+            path.write_text(json.dumps(data))
+            with pytest.raises(ValueError, match=error):
+                load_reserves(path, ds)
+
 
 class TestMassFiles:
     def test_round_trip(self, tmp_path):
@@ -124,6 +135,18 @@ class TestMassFiles:
         path.write_text(json.dumps({"scale": 0, "x": {"nobody": {"0": 1.0}}}))
         with pytest.raises(ValueError):
             load_masses(path, ds)
+
+    def test_malformed_file_rejected(self, tmp_path):
+        ds = make_dataset(1, [(1, (10, 5))])
+        path = tmp_path / "mass.json"
+        for data, error in [([], "mass file must be an object"),
+                            ({"x": []}, "x must be an object"),
+                            ({"scale": 0}, "x must be an object, not None"),
+                            ({"x": {"b1": [1.0]}}, "x.b1 must be an object"),
+                            ({"scale": True, "x": {}}, "scale must be an integer")]:
+            path.write_text(json.dumps(data))
+            with pytest.raises(ValueError, match=error):
+                load_masses(path, ds)
 
 
 class TestGenerators:
