@@ -14,6 +14,15 @@ projection: one column per winner-side sub-profile (winner, supporter,
 winner reserve), carrying the sum of the full sub-profile masses over the
 supporter reserve.  :class:`LpInstance` states the rows and why the optimum
 does not change.
+
+Buyers with the same bid in every auction and the same free/fixed status are
+interchangeable: permuting them maps the LP onto itself.  Averaging any
+optimum over that group gives an optimum in the group's fixed subspace, where
+the columns of one orbit are equal and the rows of one orbit coincide, so
+:func:`solve_lp` solves :func:`symmetry_quotient`, one variable per column
+orbit and one row per row orbit, and expands its optimum back.  The worst-case
+family ``bad_example(k)`` has four buyer orbits whatever k, so its quotient
+has 131 columns where the assembled LP has 11,541 at k = 20.
 """
 
 from __future__ import annotations
@@ -493,17 +502,108 @@ class LpSolution:
         return self.instance.grid
 
 
+def _orbits(*families: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit of every member, and the first member of every orbit.
+
+    A family is an array of integer keys, one per member (a row per member
+    for 2-d keys); members of one family with equal keys form an orbit.
+    Families follow one another, and orbits are numbered by their first
+    member, so both results keep the members' order.
+    """
+    labels, firsts = [], []
+    offset = start = 0
+    for keys in families:
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True,
+                                      axis=0 if keys.ndim > 1 else None)
+        order = np.argsort(first)
+        label = np.empty_like(order)
+        label[order] = np.arange(len(order))
+        labels.append(label[inverse.reshape(-1)] + offset)
+        firsts.append(first[order] + start)
+        offset += len(order)
+        start += len(keys)
+    return np.concatenate(labels), np.concatenate(firsts)
+
+
+def buyer_orbits(instance: LpInstance) -> np.ndarray:
+    """Orbit of each buyer: same bid in every auction and same free/fixed status.
+
+    Orbits are numbered by their first member; a real buyer bidding 0
+    everywhere is fixed, so it shares the auxiliaries' orbit.
+    """
+    bids = np.array([a.bids for a in instance.dataset.auctions], dtype=np.int64)
+    free = (instance.x_cols >= 0).any(axis=1)
+    return _orbits(np.column_stack([bids.T, free]))[0]
+
+
+def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
+    """The instance's LP over buyer-orbit totals, and its expansion.
+
+    Permuting buyers inside their orbits (:func:`buyer_orbits`) maps columns
+    to columns and rows to rows with the same coefficients, objective and
+    right-hand sides, so it is an automorphism of the LP.  The average of an
+    optimum over that group is an optimum fixed by it, whose columns are
+    equal within each column orbit: (a, O(b1), O(b2), r1) for w, (O(b), r)
+    for x, (a, O(b), r) for y'.  Rows of one row orbit, (2') (a, O),
+    (6) O, (3) as y', (4) (a, O1, O2), (5) a, are then the same row, and
+    one representative each is kept.  The quotient variable of an orbit is
+    its total mass, spread evenly on expansion: ``v = P D u`` with P the
+    orbit indicator and D = diag(1 / |O|), so the quotient reads
+    ``A[reps] P D`` and ``(P D)^T c``, and its optimum equals the full one.
+    """
+    ds = instance.dataset
+    orbit = buyer_orbits(instance)
+    m, R, n = int(orbit.max()) + 1, len(instance.grid), ds.num_buyers
+    n_le = instance.n_le.ravel()
+    yp_ab = np.repeat(np.arange(len(n_le)), n_le)
+    yp_key = (yp_ab // n * m + orbit[yp_ab % n]) * R + _ranges(n_le)
+    xb, xr = np.nonzero(instance.x_cols >= 0)
+    cols, _ = _orbits(
+        ((instance.w_auction * m + orbit[instance.w_winner]) * m
+         + orbit[instance.w_supporter]) * R + instance.w_r1,
+        orbit[xb] * R + xr,
+        yp_key,
+    )
+    ab = np.arange(ds.num_auctions * n)
+    _, eq_rows = _orbits(ab // n * m + orbit[ab % n], orbit[np.unique(xb)])
+    pa, pw, ps = np.nonzero(instance.w_first >= 0)
+    _, le_rows = _orbits(yp_key, (pa * m + orbit[pw]) * m + orbit[ps],
+                         np.arange(ds.num_auctions))
+    size = np.bincount(cols)
+    orbit_sum = sp.csr_matrix((np.ones(len(cols)), cols, np.arange(len(cols) + 1)),
+                              shape=(len(cols), len(size)))  # P
+    spread = sp.diags(1.0 / size)  # D
+    # sum each orbit's coefficients, then divide once: integer sums stay exact
+    return lp_solver.Quotient(
+        lp=lp_solver.StandardLp(
+            c=(orbit_sum.T @ instance.c) / size,
+            A_eq=(instance.A_eq[eq_rows] @ orbit_sum @ spread).tocsr(),
+            b_eq=instance.b_eq[eq_rows],
+            A_le=(instance.A_le[le_rows] @ orbit_sum @ spread).tocsr(),
+            b_le=instance.b_le[le_rows],
+        ),
+        expand=(orbit_sum @ spread).tocsr(),
+    )
+
+
 def solve_lp(instance: LpInstance, *, tol_feas: float = 1e-7) -> LpSolution:
     """Solve an assembled instance to a verified optimum.
 
-    :func:`lp_solver.solve` accepts the optimum or rejects the solve with
-    :class:`LpSolveError`.  The method depends on the item count alone (see
-    ``INTERIOR_POINT_MIN_ITEMS``), so a dataset always takes the same path.
+    HiGHS solves the instance's :func:`symmetry_quotient`, an exact
+    reduction: averaging any optimum over the buyer-permutation group gives
+    an optimum in the group's fixed subspace, which has one variable per
+    column orbit and one distinct row per row orbit.  The quotient optimum
+    expands back to the full columns, orbit-mates carrying equal masses, and
+    :func:`lp_solver.solve` accepts it only after checking it against the
+    full rows, or rejects the solve with :class:`LpSolveError`.  The method
+    depends on the item count alone (see ``INTERIOR_POINT_MIN_ITEMS``), so a
+    dataset always takes the same path.
     """
     method = (lp_solver.SolveMethod.INTERIOR_POINT
               if instance.dataset.num_items >= INTERIOR_POINT_MIN_ITEMS
               else lp_solver.SolveMethod.DUAL_SIMPLEX)
-    result = lp_solver.solve(instance.to_standard_lp(), method=method, tol_feas=tol_feas)
+    result = lp_solver.solve(instance.to_standard_lp(), method=method, tol_feas=tol_feas,
+                             quotient=symmetry_quotient(instance))
     s_parts, x_masses = instance.interpret(result.x)
     return LpSolution(
         instance=instance,

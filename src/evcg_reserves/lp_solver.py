@@ -4,8 +4,10 @@ Thin, solver-neutral layer over scipy's HiGHS backend: maximize ``c . x``
 subject to sparse equality and inequality rows with ``x >= 0``.  :func:`solve`
 is the one place that accepts or rejects a solve: it returns a point only
 when HiGHS proves it optimal, the point is feasible when re-verified from the
-raw matrices, and HiGHS's objective agrees with ``c . x``.  Solves are
-deterministic for identical input.
+raw matrices, and HiGHS's objective agrees with ``c . x``.  Given a
+:class:`Quotient`, HiGHS solves the smaller LP and the checks run on its
+expanded point against the full LP's rows.  Solves are deterministic for
+identical input.
 """
 
 from __future__ import annotations
@@ -56,8 +58,26 @@ class StandardLp:
 
 
 @dataclass
+class Quotient:
+    """A smaller LP with the same optimum, and the map of its points into the full LP.
+
+    ``expand`` is the matrix that sends a point ``u`` of ``lp`` to the full
+    LP's point ``expand @ u``.  :func:`solve` trusts neither: it re-verifies
+    the expanded point against the full rows.
+    """
+
+    lp: StandardLp
+    expand: sp.csr_matrix
+
+
+@dataclass
 class SolveResult:
-    """A verified optimum; ``objective`` is ``c . x``."""
+    """A verified optimum; ``objective`` is ``c . x``.
+
+    ``x``, ``objective`` and ``max_violation`` refer to the full LP.
+    ``iterations`` and ``complementarity`` refer to the LP HiGHS solved: with
+    a :class:`Quotient`, its iterations and its rows' duals and slacks.
+    """
 
     x: np.ndarray
     objective: float
@@ -88,8 +108,12 @@ def solve(
     *,
     method: SolveMethod = SolveMethod.DUAL_SIMPLEX,
     tol_feas: float = 1e-7,
+    quotient: Quotient | None = None,
 ) -> SolveResult:
     """Solve with ``method`` and return the optimum only once it is verified.
+
+    With a ``quotient``, HiGHS solves ``quotient.lp`` and ``x`` is its point
+    expanded into ``lp``'s columns; the checks below read ``lp`` alone.
 
     Raises :class:`LpSolveError`, carrying HiGHS's status and message, unless
     HiGHS reports optimal, :func:`feasibility_violation` of the point is at
@@ -98,12 +122,13 @@ def solve(
     ``iterations`` counts simplex iterations, or interior-point iterations
     (crossover excluded) for ``INTERIOR_POINT``.
     """
+    solved = lp if quotient is None else quotient.lp
     res = linprog(
-        -lp.c,
-        A_ub=lp.A_le,
-        b_ub=lp.b_le,
-        A_eq=lp.A_eq,
-        b_eq=lp.b_eq,
+        -solved.c,
+        A_ub=solved.A_le,
+        b_ub=solved.b_le,
+        A_eq=solved.A_eq,
+        b_eq=solved.b_eq,
         bounds=(0, None),
         method=method.value,
         options={"presolve": True},
@@ -111,7 +136,8 @@ def solve(
     highs = f"(status {res.status}: {res.message})"
     if res.status != 0:
         raise LpSolveError(f"solver did not reach a proven optimum {highs}")
-    x = np.asarray(res.x, dtype=float)
+    u = np.asarray(res.x, dtype=float)
+    x = u if quotient is None else quotient.expand @ u
     violation = feasibility_violation(lp, x)
     if violation > tol_feas:
         raise LpSolveError(f"returned point violates constraints by {violation:.2e} {highs}")
@@ -124,7 +150,7 @@ def solve(
         objective=objective,
         iterations=int(res.nit),
         max_violation=violation,
-        complementarity=_complementarity_residual(lp, x, res),
+        complementarity=_complementarity_residual(solved, u, res),
     )
 
 

@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 
 from evcg_reserves import lp_solver
-from evcg_reserves.auction import add_auxiliary_buyers, revenue, zero_reserves
+from evcg_reserves.auction import (
+    AuctionColumn,
+    BidDataset,
+    add_auxiliary_buyers,
+    revenue,
+    zero_reserves,
+)
 from evcg_reserves.baselines import BadExampleSpec, bad_example, brute_force_opt
 from evcg_reserves.datasets import correlated_dataset, random_dataset
 from evcg_reserves.errors import LpSolveError, SizeGuardError
 from evcg_reserves.lp_model import (
+    INTERIOR_POINT_MIN_ITEMS,
     LpPoint,
     SubProfile,
+    buyer_orbits,
     build_lp,
     encode_reserves,
     enumerate_subprofiles,
     solve_lp,
+    symmetry_quotient,
 )
 
 from .conftest import desk_instances, grid_of, make_dataset
@@ -225,6 +234,124 @@ class TestPinnedOptimum:
         expected = (32, 27, 35, 35, 7, 4, 37, 18, 54, 27)
         for ds, value in zip(desk_instances(10, seed=41), expected, strict=True):
             self.check(ds, value, per_buyer_grid=True)
+
+
+def with_duplicate(ds: BidDataset, rng: np.random.Generator) -> BidDataset:
+    """``ds`` (not augmented) with a copy of one buyer's bid row inserted anywhere."""
+    j = int(rng.integers(ds.num_buyers))
+    at = int(rng.integers(ds.num_buyers + 1))
+    return BidDataset(
+        num_items=ds.num_items,
+        buyers=tuple(f"b{i + 1}" for i in range(ds.num_buyers + 1)),
+        auctions=tuple(AuctionColumn(a.weight, a.bids[:at] + (a.bids[j],) + a.bids[at:])
+                       for a in ds.auctions),
+    )
+
+
+def symmetric_instances(count: int, seed: int) -> list[BidDataset]:
+    """Small random and correlated instances, every other one with a planted
+    duplicate buyer row."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    out = []
+    for i in range(count):
+        nb, na, k = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (1, 4), (1, 4)))
+        ds = (random_dataset(nb, na, k, seed=seed * 1000 + i, max_bid=9, max_weight=3)
+              if i % 4 < 2 else
+              correlated_dataset(nb, na, k, seed=seed * 1000 + i, noise=0.3))
+        out.append(add_auxiliary_buyers(with_duplicate(ds, rng) if i % 2 else ds))
+    return out
+
+
+def full_solve(instance):
+    """The full LP, solved without the quotient by the method solve_lp picks."""
+    method = (lp_solver.SolveMethod.INTERIOR_POINT
+              if instance.dataset.num_items >= INTERIOR_POINT_MIN_ITEMS
+              else lp_solver.SolveMethod.DUAL_SIMPLEX)
+    return lp_solver.solve(instance.to_standard_lp(), method=method)
+
+
+def transposition(instance, b: int, c: int) -> np.ndarray:
+    """Column permutation that swapping buyers b and c induces on the instance."""
+    sigma = np.arange(instance.dataset.num_buyers)
+    sigma[[b, c]] = c, b
+    perm = np.full(instance.num_vars, -1)
+    w = np.arange(len(instance.w_auction))
+    perm[w] = (instance.w_first[instance.w_auction, sigma[instance.w_winner],
+                                sigma[instance.w_supporter]] + instance.w_r1)
+    for (buyer, r), col in np.ndenumerate(instance.x_cols):
+        if col >= 0:
+            perm[col] = instance.x_cols[sigma[buyer], r]
+    for (a, buyer), first in np.ndenumerate(instance.yp_first):
+        for r in range(instance.n_le[a, buyer]):
+            perm[first + r] = instance.yp_first[a, sigma[buyer]] + r
+    assert sorted(perm) == list(range(instance.num_vars))
+    return perm
+
+
+class TestSymmetryQuotient:
+    """solve_lp solves the buyer-orbit quotient and expands it back."""
+
+    def test_objective_matches_full_solve(self):
+        cases = [(ds, {}) for ds in symmetric_instances(60, seed=61)]
+        cases += [(bad_example(BadExampleSpec(k=k)), {}) for k in (2, 4, 8, 20)]
+        cases += [(ds, {"per_buyer_grid": True}) for ds in symmetric_instances(10, seed=67)]
+        for ds, kwargs in cases:
+            instance = build_lp(ds, grid_of(ds), **kwargs)
+            full = full_solve(instance).objective
+            objective = solve_lp(instance).objective
+            assert abs(objective - full) <= 1e-9 * max(1.0, abs(full)), (objective, full)
+
+    def test_orbit_mates_carry_equal_masses(self):
+        instances = symmetric_instances(20, seed=71)
+        instances += [bad_example(BadExampleSpec(k=k)) for k in (3, 8)]
+        for ds in instances:
+            instance = build_lp(ds, grid_of(ds))
+            vector = solve_lp(instance).vector
+            rows = [(ds.buyer_bids(b), bool((instance.x_cols[b] >= 0).any()))
+                    for b in range(ds.num_buyers)]
+            for b in range(ds.num_buyers):
+                for c in range(b + 1, ds.num_buyers):
+                    if rows[b] == rows[c]:  # same bids, same free/fixed status
+                        assert np.array_equal(vector, vector[transposition(instance, b, c)])
+
+    def test_buyer_orbit_keys(self):
+        # buyer 1 differs from buyer 0 in auction 1 only, buyer 2 copies
+        # buyer 0, buyer 3 is a real buyer bidding 0; buyers 4 and 5 are the
+        # auxiliaries
+        ds = make_dataset(1, [(1, (4, 4, 4, 0)), (2, (3, 5, 3, 0))])
+        assert buyer_orbits(build_lp(ds, grid_of(ds))).tolist() == [0, 1, 0, 2, 2, 2]
+        for ds in symmetric_instances(20, seed=73):
+            instance = build_lp(ds, grid_of(ds))
+            orbit = buyer_orbits(instance)
+            free = (instance.x_cols >= 0).any(axis=1)
+            for b in range(ds.num_buyers):
+                for c in range(ds.num_buyers):
+                    same = ds.buyer_bids(b) == ds.buyer_bids(c) and free[b] == free[c]
+                    assert (orbit[b] == orbit[c]) == same
+
+    def test_worst_case_quotient_size_is_constant(self):
+        sizes = []
+        for k in (20, 40, 80):
+            ds = bad_example(BadExampleSpec(k=k))
+            instance = build_lp(ds, grid_of(ds))
+            quotient = symmetry_quotient(instance).lp
+            sizes.append((len(quotient.c), quotient.A_eq.shape[0] + quotient.A_le.shape[0]))
+        assert sizes == [(131, 94)] * 3
+        assert instance.num_vars == 165_981  # k = 80
+        solution = solve_lp(instance)  # passes lp_solver.solve's checks on the full rows
+        assert solution.max_violation <= 1e-7
+        assert solution.objective == float(instance.c @ solution.vector)
+
+    def test_expansion_without_spread_rejected(self):
+        ds = bad_example(BadExampleSpec(k=4))
+        instance = build_lp(ds, grid_of(ds))
+        quotient = symmetry_quotient(instance)
+        lp = instance.to_standard_lp()
+        assert lp_solver.solve(lp, quotient=quotient).max_violation <= 1e-9
+        unspread = quotient.expand.copy()
+        unspread.data[:] = 1.0  # every member carries its orbit's total
+        with pytest.raises(LpSolveError, match="violates constraints"):
+            lp_solver.solve(lp, quotient=lp_solver.Quotient(quotient.lp, unspread))
 
 
 class TestEncode:

@@ -130,6 +130,20 @@ def test_infeasible_point_raises(monkeypatch):
     assert res.objective == 3.5 and res.max_violation == violation
 
 
+def test_quotient_checked_on_full_rows():
+    """maximize x1 + x2 subject to x1 <= 1, x2 <= 1: one column orbit, one
+    row orbit, and the quotient u / 2 <= 1 over the total mass u."""
+    lp = StandardLp(c=np.array([1.0, 1.0]), A_le=sp.identity(2, format="csr"),
+                    b_le=np.array([1.0, 1.0]))
+    quotient = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[0.5]]), b_le=np.array([1.0]))
+    spread = sp.csr_matrix([[0.5], [0.5]])
+    res = solve(lp, quotient=lp_solver.Quotient(quotient, spread))
+    assert res.x.tolist() == [1.0, 1.0] and res.objective == 2.0
+    # without the 1 / |O| spread each member gets the total: x = (2, 2)
+    with pytest.raises(LpSolveError, match="violates constraints by 2.50e-01"):
+        solve(lp, quotient=lp_solver.Quotient(quotient, spread * 2))
+
+
 def test_deterministic_repeat():
     rng = np.random.Generator(np.random.Philox(99))
     lp, _ = _planted_lp(rng, 12, 15)
