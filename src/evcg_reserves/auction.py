@@ -195,6 +195,26 @@ def validate_reserves(
                 raise ValueError(f"reserve {r} of buyer {b} is not on the grid")
 
 
+def candidate_mask(dataset: BidDataset, grid: ReserveGrid) -> np.ndarray:
+    """Each buyer's candidate reserves, as a (buyers x grid) boolean mask.
+
+    Buyer b's candidates are 0 and, for each of b's bids, the largest grid
+    value at or below it; on a grid built by :meth:`ReserveGrid.from_dataset`
+    that is 0 and b's own bids.  Raising b's reserve from r to the candidate
+    below b's next bid at or above r keeps every auction b clears and never
+    lowers a payment, and a reserve above all of b's bids does no better than
+    b's top candidate, since a buyer who clears never lowers an auction's
+    revenue.  So the best reserve vector, and the LP optimum, lie on
+    candidates.
+    """
+    bids = np.array([a.bids for a in dataset.auctions]).reshape(dataset.num_auctions, -1)
+    below = np.searchsorted(np.array(grid.values), bids, side="right") - 1
+    mask = np.zeros((dataset.num_buyers, len(grid)), dtype=bool)
+    mask[:, 0] = True
+    mask[np.arange(dataset.num_buyers), below] = True
+    return mask
+
+
 def run_evcg(dataset: BidDataset, auction_index: int, reserves: ReserveVector) -> AuctionOutcome:
     """Execute one eager VCG auction; pure and deterministic.
 

@@ -24,6 +24,7 @@ from .auction import (
     ReserveGrid,
     add_auxiliary_buyers,
     batch_evaluator,
+    candidate_mask,
     zero_reserves,
 )
 from .errors import SizeGuardError
@@ -134,18 +135,9 @@ def bad_example_fractional(spec: BadExampleSpec) -> LpPoint:
 
 
 def _candidate_reserves(dataset: BidDataset, grid: ReserveGrid) -> list[list[int]]:
-    """Per real-buyer candidates: 0 plus the buyer's own bid values.
-
-    Raising a reserve between two of a buyer's bids never changes that
-    buyer's clearing pattern and weakly lowers their payments, and a reserve
-    above all their bids is dominated by reserving at the maximum bid, so
-    the restriction preserves exact optimality.
-    """
-    cands = []
-    for b in range(dataset.num_real_buyers):
-        values = sorted({0} | set(dataset.buyer_bids(b)))
-        cands.append([v for v in values if v in grid])
-    return cands
+    """Per real buyer, its candidate reserves (:func:`candidate_mask`) in increasing order."""
+    mask = candidate_mask(dataset, grid)[: dataset.num_real_buyers]
+    return [[v for v, keep in zip(grid.values, row) if keep] for row in mask.tolist()]
 
 
 def _reserve_classes(cands: list[list[int]], bids: tuple[int, ...]) -> list[np.ndarray]:

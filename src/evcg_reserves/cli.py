@@ -48,11 +48,7 @@ def _load(args) -> tuple:
 
 
 def _solve(args, augmented, grid):
-    instance = lp_model.build_lp(
-        augmented, grid,
-        max_subprofiles=args.max_subprofiles,
-        per_buyer_grid=getattr(args, "per_buyer_grid", False),
-    )
+    instance = lp_model.build_lp(augmented, grid, max_subprofiles=args.max_subprofiles)
     solution = lp_model.solve_lp(instance, tol_feas=args.tol_feas)
     return instance, solution
 
@@ -136,6 +132,10 @@ def cmd_bench(args) -> int:
     augmented, grid = _load(args)
     doc = report.make_report("bench", augmented, _config_section(args))
     evaluator = batch_evaluator(augmented)
+    # checked up front, so bad rounding flags fail whether or not the LP runs
+    params = rounding.RoundingParams(
+        boost=args.boost, num_samples=args.samples, rng_seed=args.seed
+    )
 
     solution = None
     try:
@@ -162,9 +162,6 @@ def cmd_bench(args) -> int:
         doc["methods"]["brute_force"] = {"skipped": str(exc)}
 
     if solution is not None:
-        params = rounding.RoundingParams(
-            boost=args.boost, num_samples=args.samples, rng_seed=args.seed
-        )
         out = rounding.best_of_three(augmented, solution, params, threads=args.threads)
         report.add_method(doc, "best_of_three", dataset=augmented,
                           reserves=out.chosen_vector, revenue=out.chosen_revenue,
@@ -327,7 +324,7 @@ def _config_section(args) -> dict:
     # threads is an execution detail: reports must be byte-identical across
     # worker counts, so it stays out of the canonical payload
     keys = ("dataset", "boost", "samples", "seed",
-            "max_subprofiles", "tol_feas", "brute_cap", "per_buyer_grid")
+            "max_subprofiles", "tol_feas", "brute_cap")
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
@@ -348,8 +345,6 @@ def _add_common(p: argparse.ArgumentParser, *, needs_dataset: bool = True) -> No
     p.add_argument("--max-subprofiles", type=int, default=lp_model.DEFAULT_MAX_SUBPROFILES)
     p.add_argument("--tol-feas", type=float, default=1e-7)
     p.add_argument("--brute-cap", type=int, default=baselines.DEFAULT_BRUTE_CAP)
-    p.add_argument("--per-buyer-grid", action="store_true",
-                   help="restrict each buyer's reserve support to their own bids plus 0")
     p.add_argument("--timings", action="store_true",
                    help="append wall-clock timings to the report (breaks byte determinism)")
 

@@ -20,9 +20,11 @@ interchangeable: permuting them maps the LP onto itself.  Averaging any
 optimum over that group gives an optimum in the group's fixed subspace, where
 the columns of one orbit are equal and the rows of one orbit coincide, so
 :func:`solve_lp` solves :func:`symmetry_quotient`, one variable per column
-orbit and one row per row orbit, and expands its optimum back.  The worst-case
-family ``bad_example(k)`` has four buyer orbits whatever k, so its quotient
-has 131 columns where the assembled LP has 11,541 at k = 20.
+orbit and one row per row orbit, and expands its optimum back.  The quotient
+keeps only the columns at each buyer's candidate reserves, where an optimum
+always lies.  The worst-case family ``bad_example(k)`` has four buyer orbits
+whatever k, so its quotient has 113 columns where the assembled LP has 11,541
+at k = 20.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp_solver
-from .auction import BidDataset, ReserveGrid, batch_evaluator, validate_reserves
+from .auction import BidDataset, ReserveGrid, batch_evaluator, candidate_mask, validate_reserves
 from .errors import SizeGuardError
 
 DEFAULT_MAX_SUBPROFILES = 500_000
@@ -199,8 +201,7 @@ class LpInstance:
         return slice(int(lo), int(hi))
 
     def x_col(self, buyer: int, r_index: int) -> int | None:
-        """Column of x[buyer, r]; None for a fixed buyer or a reserve outside
-        the buyer's allowed set."""
+        """Column of x[buyer, r]; None for a fixed buyer."""
         col = int(self.x_cols[buyer, r_index])
         return col if col >= 0 else None
 
@@ -241,8 +242,7 @@ class LpInstance:
         Each sub-profile's mass goes to its w column and, divided by k, to its
         supporter's y' column.  Raises ``ValueError`` if a sub-profile of the
         point is not valid for its auction (e.g. a reserve off the grid or
-        above the bid), if a free buyer carries mass on a reserve outside its
-        allowed set, or if an auxiliary buyer carries mass away from 0.
+        above the bid), or if an auxiliary buyer carries mass away from 0.
         """
         k = self.dataset.num_items
         vec = np.zeros(self.num_vars)
@@ -252,17 +252,14 @@ class LpInstance:
                 vec[w] += mass
                 vec[yp] += mass / k
         for b, masses in point.x.items():
-            free = bool((self.x_cols[b] >= 0).any())
             for r, mass in masses.items():
                 if r not in self.grid:
                     raise ValueError(f"reserve {r} of buyer {b} is not on the grid")
                 col = self.x_col(b, self.grid.index(r))
                 if col is not None:
                     vec[col] = mass
-                elif r != 0 and mass != 0 and (free or b >= self.dataset.num_real_buyers):
-                    raise ValueError(
-                        f"reserve {r} of buyer {b} is outside the buyer's allowed set"
-                    )
+                elif r != 0 and mass != 0 and b >= self.dataset.num_real_buyers:
+                    raise ValueError(f"reserve {r} of buyer {b} must be 0: the buyer is auxiliary")
                 # a real buyer bidding 0 everywhere: x is the constant point
                 # mass at 0, and any reserve above its zero bids is
                 # revenue-equivalent and never appears in a sub-profile, so
@@ -354,17 +351,15 @@ def build_lp(
     grid: ReserveGrid,
     *,
     max_subprofiles: int = DEFAULT_MAX_SUBPROFILES,
-    per_buyer_grid: bool = False,
 ) -> LpInstance:
     """Assemble the winner-side sub-profile LP for a whole dataset.
 
     ``max_subprofiles`` bounds the number of full sub-profiles, so a dataset
     is refused exactly when :func:`enumerate_subprofiles` over its auctions
-    would be.  ``per_buyer_grid`` restricts each buyer's reserve support to
-    their own bid values plus 0 instead of the global grid (optional
-    variant; the default is the full grid).  A dataset with an objective
-    coefficient (weight x bid) past 2^53, where float64 stops being exact, is
-    refused with :class:`SizeGuardError`.
+    would be.  Every free buyer gets an x column at every grid value; the
+    solve drops the non-candidate ones (:func:`symmetry_quotient`).  A
+    dataset with an objective coefficient (weight x bid) past 2^53, where
+    float64 stops being exact, is refused with :class:`SizeGuardError`.
     """
     if not dataset.includes_auxiliaries:
         raise ValueError("build_lp requires an augmented dataset")
@@ -410,16 +405,10 @@ def build_lp(
     w_first[pa, pw, ps] = np.cumsum(n_le[pa, pw]) - n_le[pa, pw]
 
     # auxiliary buyers and buyers bidding 0 everywhere stay at reserve 0
-    free_buyers = tuple(
-        b for b in range(dataset.num_real_buyers) if dataset.max_bid(b) > 0
-    )
+    free_buyers = [b for b in range(dataset.num_real_buyers) if dataset.max_bid(b) > 0]
     x_cols = np.full((n, R), -1, dtype=np.int64)  # (buyer, r index) -> x column
-    x_rows: list[int] = []  # the (6) row of each x column
-    for i, b in enumerate(free_buyers):
-        allowed = (sorted(grid.index(v) for v in {0, *dataset.buyer_bids(b)})
-                   if per_buyer_grid else list(range(R)))
-        x_cols[b, allowed] = num_w + len(x_rows) + np.arange(len(allowed))
-        x_rows += [A * n + i] * len(allowed)
+    x_cols[free_buyers] = num_w + np.arange(len(free_buyers) * R).reshape(-1, R)
+    x_rows = A * n + np.repeat(np.arange(len(free_buyers)), R)  # the (6) row of each x column
     yp_offset = num_w + len(x_rows)
 
     # y' columns: one per (auction, buyer) and reserve below the buyer's bid
@@ -442,7 +431,7 @@ def build_lp(
     A_eq = _csr([
         (yp_ab, yp_cols, k),
         (col_a * n + col_s, w_cols, -1.0),
-        (np.array(x_rows, dtype=np.int64), np.arange(num_w, yp_offset), 1.0),
+        (x_rows, np.arange(num_w, yp_offset), 1.0),
     ], (A * n + len(free_buyers), num_vars))
     b_eq = np.concatenate([np.zeros(A * n), np.ones(len(free_buyers))])
 
@@ -450,7 +439,7 @@ def build_lp(
     yp_x = x_cols[yp_b, yp_r]
     has_x = yp_x >= 0
     fixed = np.ones(n, dtype=bool)
-    fixed[list(free_buyers)] = False
+    fixed[free_buyers] = False
     # (4) compatibility, one row per pair: the supporter's y' entries
     sup_pair = np.repeat(np.arange(len(pa)), n_le[pa, ps])
     sup_cols = yp_offset + yp_base[pa[sup_pair], ps[sup_pair]] + _ranges(n_le[pa, ps])
@@ -491,7 +480,6 @@ class LpSolution:
     vector: np.ndarray
     iterations: int
     max_violation: float
-    complementarity: float | None = None
 
     @property
     def dataset(self) -> BidDataset:
@@ -550,28 +538,42 @@ def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
     its total mass, spread evenly on expansion: ``v = P D u`` with P the
     orbit indicator and D = diag(1 / |O|), so the quotient reads
     ``A[reps] P D`` and ``(P D)^T c``, and its optimum equals the full one.
+
+    Only columns at a buyer's candidate reserve (:func:`candidate_mask`)
+    are kept: x[b,r], w by the winner's r1 and y'[a,b,r].  Moving all of a
+    buyer's mass from a reserve r to its next candidate r+ (its top one when
+    r is above all its bids) keeps every column valid, leaves (2'), (4),
+    (5) and (6) as they were, adds as much to the left of (3) at r+ as to
+    its right, and never lowers max(bid[b2], r1).  Orbit-mates share bids,
+    so whole orbits go; a dropped column is an empty row of P, so it
+    expands to 0, and a row left without columns reads 0 <= 0.
     """
     ds = instance.dataset
     orbit = buyer_orbits(instance)
     m, R, n = int(orbit.max()) + 1, len(instance.grid), ds.num_buyers
     n_le = instance.n_le.ravel()
     yp_ab = np.repeat(np.arange(len(n_le)), n_le)
-    yp_key = (yp_ab // n * m + orbit[yp_ab % n]) * R + _ranges(n_le)
+    yp_b, yp_r = yp_ab % n, _ranges(n_le)
+    yp_key = (yp_ab // n * m + orbit[yp_b]) * R + yp_r
     xb, xr = np.nonzero(instance.x_cols >= 0)
-    cols, _ = _orbits(
-        ((instance.w_auction * m + orbit[instance.w_winner]) * m
-         + orbit[instance.w_supporter]) * R + instance.w_r1,
-        orbit[xb] * R + xr,
-        yp_key,
-    )
+    candidate = candidate_mask(ds, instance.grid)
+    families = [  # (orbit key, kept) of the w, x and y' columns
+        (((instance.w_auction * m + orbit[instance.w_winner]) * m
+          + orbit[instance.w_supporter]) * R + instance.w_r1,
+         candidate[instance.w_winner, instance.w_r1]),
+        (orbit[xb] * R + xr, candidate[xb, xr]),
+        (yp_key, candidate[yp_b, yp_r]),
+    ]
+    cols, _ = _orbits(*(key[kept] for key, kept in families))
+    kept = np.concatenate([kept for _, kept in families])
     ab = np.arange(ds.num_auctions * n)
     _, eq_rows = _orbits(ab // n * m + orbit[ab % n], orbit[np.unique(xb)])
     pa, pw, ps = np.nonzero(instance.w_first >= 0)
     _, le_rows = _orbits(yp_key, (pa * m + orbit[pw]) * m + orbit[ps],
                          np.arange(ds.num_auctions))
     size = np.bincount(cols)
-    orbit_sum = sp.csr_matrix((np.ones(len(cols)), cols, np.arange(len(cols) + 1)),
-                              shape=(len(cols), len(size)))  # P
+    orbit_sum = sp.csr_matrix((np.ones(len(cols)), cols, np.r_[0, np.cumsum(kept)]),
+                              shape=(len(kept), len(size)))  # P
     spread = sp.diags(1.0 / size)  # D
     # sum each orbit's coefficients, then divide once: integer sums stay exact
     return lp_solver.Quotient(
@@ -592,9 +594,10 @@ def solve_lp(instance: LpInstance, *, tol_feas: float = 1e-7) -> LpSolution:
     HiGHS solves the instance's :func:`symmetry_quotient`, an exact
     reduction: averaging any optimum over the buyer-permutation group gives
     an optimum in the group's fixed subspace, which has one variable per
-    column orbit and one distinct row per row orbit.  The quotient optimum
-    expands back to the full columns, orbit-mates carrying equal masses, and
-    :func:`lp_solver.solve` accepts it only after checking it against the
+    column orbit and one distinct row per row orbit, and an optimum on
+    candidate reserves exists.  The quotient optimum expands back to the
+    full columns, orbit-mates carrying equal masses and non-candidate
+    columns 0, and :func:`lp_solver.solve` accepts it only after checking it against the
     full rows, or rejects the solve with :class:`LpSolveError`.  The method
     depends on the item count alone (see ``INTERIOR_POINT_MIN_ITEMS``), so a
     dataset always takes the same path.
@@ -613,7 +616,6 @@ def solve_lp(instance: LpInstance, *, tol_feas: float = 1e-7) -> LpSolution:
         vector=result.x,
         iterations=result.iterations,
         max_violation=result.max_violation,
-        complementarity=result.complementarity,
     )
 
 

@@ -74,16 +74,15 @@ class Quotient:
 class SolveResult:
     """A verified optimum; ``objective`` is ``c . x``.
 
-    ``x``, ``objective`` and ``max_violation`` refer to the full LP.
-    ``iterations`` and ``complementarity`` refer to the LP HiGHS solved: with
-    a :class:`Quotient`, its iterations and its rows' duals and slacks.
+    ``x``, ``objective`` and ``max_violation`` refer to the full LP;
+    ``iterations`` to the LP HiGHS solved, the quotient's with a
+    :class:`Quotient`.
     """
 
     x: np.ndarray
     objective: float
     iterations: int
     max_violation: float
-    complementarity: float | None
 
 
 def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
@@ -150,15 +149,4 @@ def solve(
         objective=objective,
         iterations=int(res.nit),
         max_violation=violation,
-        complementarity=_complementarity_residual(solved, u, res),
     )
-
-
-def _complementarity_residual(lp: StandardLp, x: np.ndarray, res) -> float | None:
-    """max |dual_i * slack_i| over inequality rows, when duals are available."""
-    ineqlin = getattr(res, "ineqlin", None)
-    if lp.A_le is None or ineqlin is None or ineqlin.marginals is None:
-        return None
-    slack = lp.b_le - lp.A_le @ x
-    scale = 1.0 + np.abs(lp.b_le)
-    return float(np.max(np.abs(ineqlin.marginals * slack) / scale, initial=0.0))

@@ -87,8 +87,6 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, (list, tuple)):
-        rows.append((prefix, json.dumps(value)))
     else:
         rows.append((prefix, json.dumps(value)))
 

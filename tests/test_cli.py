@@ -248,6 +248,15 @@ class TestExitCodes:
             assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
             assert f"(status {status}: {message})" in capsys.readouterr().err
 
+    def test_bench_rounding_flags_checked_without_lp(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        for flag, value, message in (("--boost", "2", "boost"), ("--samples", "0", "num_samples")):
+            # the size guard refuses the LP, so no rounding step would read the flag
+            assert run(["bench", "--dataset", dataset_file, "--max-subprofiles", "1",
+                        flag, value, "--out", str(out)]) == cli.EXIT_VALIDATION
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -141,15 +141,6 @@ class TestBuildAndSolve:
             _, best = brute_force_opt(ds, grid)
             assert sol.objective >= best - 1e-6
 
-    def test_per_buyer_grid_variant(self):
-        for ds in desk_instances(10, seed=41):
-            grid = grid_of(ds)
-            full = solve_lp(build_lp(ds, grid)).objective
-            restricted = solve_lp(build_lp(ds, grid, per_buyer_grid=True)).objective
-            _, best = brute_force_opt(ds, grid)
-            assert restricted <= full + 1e-6
-            assert restricted >= best - 1e-6
-
     def test_method_follows_item_count(self, monkeypatch):
         calls = []
         real = lp_solver.linprog
@@ -215,8 +206,8 @@ class TestPinnedOptimum:
     """
 
     @staticmethod
-    def check(ds, expected, **kwargs):
-        objective = solve_lp(build_lp(ds, grid_of(ds), **kwargs)).objective
+    def check(ds, expected):
+        objective = solve_lp(build_lp(ds, grid_of(ds))).objective
         assert abs(objective - expected) <= 1e-9 * abs(expected), (objective, expected)
 
     def test_benchmark_instances(self):
@@ -230,10 +221,10 @@ class TestPinnedOptimum:
         for k, expected in ((2, 70 / 3), (3, 69), (5, 295), (8, 1144), (12, 3732)):
             self.check(bad_example(BadExampleSpec(k=k)), expected)
 
-    def test_per_buyer_grid(self):
+    def test_desk_instances(self):
         expected = (32, 27, 35, 35, 7, 4, 37, 18, 54, 27)
         for ds, value in zip(desk_instances(10, seed=41), expected, strict=True):
-            self.check(ds, value, per_buyer_grid=True)
+            self.check(ds, value)
 
 
 def with_duplicate(ds: BidDataset, rng: np.random.Generator) -> BidDataset:
@@ -259,6 +250,34 @@ def symmetric_instances(count: int, seed: int) -> list[BidDataset]:
               if i % 4 < 2 else
               correlated_dataset(nb, na, k, seed=seed * 1000 + i, noise=0.3))
         out.append(add_auxiliary_buyers(with_duplicate(ds, rng) if i % 2 else ds))
+    return out
+
+
+def wide_bid_instances(count: int, seed: int) -> list[BidDataset]:
+    """Small random instances with bids up to 40, so most grid values are no
+    given buyer's bid; every other one has a planted duplicate buyer row."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    out = []
+    for i in range(count):
+        nb, na, k = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (2, 5), (1, 4)))
+        ds = random_dataset(nb, na, k, seed=seed * 1000 + i, max_bid=40, max_weight=3)
+        out.append(add_auxiliary_buyers(with_duplicate(ds, rng) if i % 2 else ds))
+    return out
+
+
+def non_candidate_columns(instance) -> np.ndarray:
+    """Columns at a reserve that is neither 0 nor one of the column's buyer's bids."""
+    ds, values = instance.dataset, instance.grid.values
+    own = [{0, *ds.buyer_bids(b)} for b in range(ds.num_buyers)]
+    out = np.zeros(instance.num_vars, dtype=bool)
+    for col, (b, r) in enumerate(zip(instance.w_winner.tolist(), instance.w_r1.tolist())):
+        out[col] = values[r] not in own[b]
+    for (b, r), col in np.ndenumerate(instance.x_cols):
+        if col >= 0:
+            out[col] = values[r] not in own[b]
+    for (a, b), first in np.ndenumerate(instance.yp_first):
+        for r in range(instance.n_le[a, b]):
+            out[first + r] = values[r] not in own[b]
     return out
 
 
@@ -292,11 +311,11 @@ class TestSymmetryQuotient:
     """solve_lp solves the buyer-orbit quotient and expands it back."""
 
     def test_objective_matches_full_solve(self):
-        cases = [(ds, {}) for ds in symmetric_instances(60, seed=61)]
-        cases += [(bad_example(BadExampleSpec(k=k)), {}) for k in (2, 4, 8, 20)]
-        cases += [(ds, {"per_buyer_grid": True}) for ds in symmetric_instances(10, seed=67)]
-        for ds, kwargs in cases:
-            instance = build_lp(ds, grid_of(ds), **kwargs)
+        cases = symmetric_instances(60, seed=61)
+        cases += [bad_example(BadExampleSpec(k=k)) for k in (2, 4, 8, 20)]
+        cases += desk_instances(10, seed=41) + wide_bid_instances(12, seed=67)
+        for ds in cases:
+            instance = build_lp(ds, grid_of(ds))
             full = full_solve(instance).objective
             objective = solve_lp(instance).objective
             assert abs(objective - full) <= 1e-9 * max(1.0, abs(full)), (objective, full)
@@ -336,11 +355,25 @@ class TestSymmetryQuotient:
             instance = build_lp(ds, grid_of(ds))
             quotient = symmetry_quotient(instance).lp
             sizes.append((len(quotient.c), quotient.A_eq.shape[0] + quotient.A_le.shape[0]))
-        assert sizes == [(131, 94)] * 3
+        assert sizes == [(113, 94)] * 3
         assert instance.num_vars == 165_981  # k = 80
         solution = solve_lp(instance)  # passes lp_solver.solve's checks on the full rows
         assert solution.max_violation <= 1e-7
         assert solution.objective == float(instance.c @ solution.vector)
+
+    def test_non_candidate_columns_dropped(self):
+        dropped_total = 0
+        for ds in wide_bid_instances(6, seed=79):
+            instance = build_lp(ds, grid_of(ds))
+            dropped = non_candidate_columns(instance)
+            expand = symmetry_quotient(instance).expand
+            # no quotient variable reaches a non-candidate column; every
+            # other column belongs to exactly one
+            assert expand[dropped].nnz == 0
+            assert (expand[~dropped].getnnz(axis=1) == 1).all()
+            assert not solve_lp(instance).vector[dropped].any()
+            dropped_total += int(dropped.sum())
+        assert dropped_total > 0
 
     def test_expansion_without_spread_rejected(self):
         ds = bad_example(BadExampleSpec(k=4))
@@ -408,8 +441,8 @@ class TestEmbedRejects:
     """two_bidder_k1: bids (10, 5, 0, 0), k = 1, grid (0, 5, 10); buyers 2, 3 auxiliary."""
 
     @staticmethod
-    def embed(ds, s=None, x=None, **kwargs):
-        inst = build_lp(ds, grid_of(ds), **kwargs)
+    def embed(ds, s=None, x=None):
+        inst = build_lp(ds, grid_of(ds))
         return inst.embed(LpPoint(s={0: {p: 1.0 for p in s or ()}}, x=x or {}))
 
     @pytest.mark.parametrize("profile", [
@@ -434,25 +467,25 @@ class TestEmbedRejects:
         with pytest.raises(ValueError, match="reserve 5 of buyer 2"):
             self.embed(two_bidder_k1, x={2: {5: 1.0}})
 
-    def test_reserve_outside_per_buyer_grid(self, two_bidder_k1):
-        point = {1: {10: 1.0}}  # buyer 1 bids only 5: allowed {0, 5}
-        assert self.embed(two_bidder_k1, x=point).sum() == 1.0
-        with pytest.raises(ValueError, match="outside the buyer's allowed set"):
-            self.embed(two_bidder_k1, x=point, per_buyer_grid=True)
-        assert self.embed(two_bidder_k1, x={1: {5: 1.0}}, per_buyer_grid=True).sum() == 1.0
+    def test_free_buyer_mass_at_any_grid_value(self, two_bidder_k1):
+        # buyer 1 bids only 5, so 10 is not a candidate, yet it has an x column
+        assert self.embed(two_bidder_k1, x={1: {10: 1.0}}).sum() == 1.0
+        assert self.embed(two_bidder_k1, x={1: {5: 1.0}}).sum() == 1.0
+        with pytest.raises(ValueError, match="reserve 10 of buyer 3 must be 0: .* auxiliary"):
+            self.embed(two_bidder_k1, x={3: {10: 1.0}})
 
-    def test_interpret_per_buyer_grid(self):
+    def test_interpret_fixed_buyers(self):
         # buyer 2 bids 0 everywhere, so it is fixed like the auxiliary buyer 3
         ds = make_dataset(1, [(1, (10, 5, 0)), (2, (3, 5, 0))])
-        inst = build_lp(ds, grid_of(ds), per_buyer_grid=True)
+        inst = build_lp(ds, grid_of(ds))
         vec = np.arange(inst.num_vars, dtype=float)
         _, x_masses = inst.interpret(vec)
         assert {b: sorted(m) for b, m in x_masses.items()} == {
-            0: [0, 3, 10], 1: [0, 5], 2: [0], 3: [0], 4: [0]}
+            0: [0, 3, 5, 10], 1: [0, 3, 5, 10], 2: [0], 3: [0], 4: [0]}
         assert x_masses[2] == x_masses[3] == {0: 1.0}
-        # the five x columns follow the w columns
+        # the eight x columns follow the w columns
         num_w = len(inst.w_auction)
-        assert [*x_masses[0].values(), *x_masses[1].values()] == list(vec[num_w: num_w + 5])
+        assert [*x_masses[0].values(), *x_masses[1].values()] == list(vec[num_w: num_w + 8])
         # a fixed real buyer's mass away from 0 is revenue-equivalent: dropped
         assert not inst.embed(LpPoint(s={}, x={2: {5: 1.0}})).any()
 
