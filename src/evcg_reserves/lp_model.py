@@ -25,6 +25,12 @@ keeps only the columns at each buyer's candidate reserves, where an optimum
 always lies.  The worst-case family ``bad_example(k)`` has four buyer orbits
 whatever k, so its quotient has 113 columns where the assembled LP has 11,541
 at k = 20.
+
+Every row reads a winner's (supporter x reserve) block of w columns through
+one of its two marginals, so HiGHS solves the quotient's
+:func:`marginal_form`: the marginals, a balance row and nested Hall rows per
+block and regime, 13,977 columns where the quotient of the 15 x 30 benchmark
+instance has 28,392.  :class:`Coupling` turns its optimum back into w.
 """
 
 from __future__ import annotations
@@ -42,12 +48,14 @@ from .errors import SizeGuardError
 
 DEFAULT_MAX_SUBPROFILES = 500_000
 # From this item count on, solve_lp uses interior point with crossover instead
-# of dual simplex: simplex iterations grow with k (276 at k=4, 10,417 at k=20)
-# while interior-point ones stay at 21-26.  Timed once each on 20 random,
-# correlated and bad_example instances (k 1-24), interior point was slower on
-# all but one at k <= 4, even at k=6 and faster on every one from k=8
-# (1.2-1.3x at k=8, 2.6-3.4x at k=20).  Rows per column do not separate the
-# two sides, so the choice reads k alone.
+# of dual simplex.  The rule was set on the full LP, where simplex iterations
+# grew with k (10,417 at k=20) and interior point was faster on every one of
+# 20 instances from k=8.  Re-timed on the marginal form (lp_solver.solve with
+# the coupling and the checks, median of 3, 22 random, correlated and
+# bad_example instances, k 1-24, up to 2,047 columns), dual simplex took 5-72
+# ms and was faster on all 22, interior point 1.1-3x slower at every k
+# (bad_example(20): 5.5 vs 9.4 ms).  The rule stays until the method no
+# longer moves the reported point (ROADMAP item 2).
 INTERIOR_POINT_MIN_ITEMS = 8
 
 
@@ -354,12 +362,13 @@ def build_lp(
 ) -> LpInstance:
     """Assemble the winner-side sub-profile LP for a whole dataset.
 
-    ``max_subprofiles`` bounds the number of full sub-profiles, so a dataset
-    is refused exactly when :func:`enumerate_subprofiles` over its auctions
-    would be.  Every free buyer gets an x column at every grid value; the
-    solve drops the non-candidate ones (:func:`symmetry_quotient`).  A
-    dataset with an objective coefficient (weight x bid) past 2^53, where
-    float64 stops being exact, is refused with :class:`SizeGuardError`.
+    ``max_subprofiles`` bounds the number of winner-side sub-profiles, the
+    w columns this function allocates; the message names the first auction
+    past the budget and what was left of it.  Every free buyer gets an x
+    column at every grid value; the solve drops the non-candidate ones
+    (:func:`symmetry_quotient`).  A dataset with an objective coefficient
+    (weight x bid) past 2^53, where float64 stops being exact, is refused
+    with :class:`SizeGuardError`.
     """
     if not dataset.includes_auxiliaries:
         raise ValueError("build_lp requires an augmented dataset")
@@ -387,11 +396,11 @@ def build_lp(
     # (winner, supporter) pairs in (auction, winner, supporter) order
     pairs = (bid_rank[:, :, None] >= bid_rank[:, None, :]) & ~np.eye(n, dtype=bool)
     pa, pw, ps = np.nonzero(pairs)
-    full = np.cumsum(n_le[pa, pw] * n_le[pa, ps])  # full sub-profiles so far
-    if len(full) and full[-1] > max_subprofiles:
-        a = int(pa[np.argmax(full > max_subprofiles)])
+    allocated = np.cumsum(n_le[pa, pw])  # winner-side sub-profiles (w columns) so far
+    if len(allocated) and allocated[-1] > max_subprofiles:
+        a = int(pa[np.argmax(allocated > max_subprofiles)])
         first = int(np.searchsorted(pa, a))
-        budget = max_subprofiles - (int(full[first - 1]) if first else 0)
+        budget = max_subprofiles - (int(allocated[first - 1]) if first else 0)
         raise SizeGuardError(
             f"auction {a}: sub-profile count exceeds {budget}; raise the budget to proceed"
         )
@@ -402,7 +411,7 @@ def build_lp(
     col_a, col_w, col_s = pa[col_pair], pw[col_pair], ps[col_pair]
     num_w = len(col_pair)
     w_first = np.full((A, n, n), -1, dtype=np.int64)
-    w_first[pa, pw, ps] = np.cumsum(n_le[pa, pw]) - n_le[pa, pw]
+    w_first[pa, pw, ps] = allocated - n_le[pa, pw]
 
     # auxiliary buyers and buyers bidding 0 everywhere stay at reserve 0
     free_buyers = [b for b in range(dataset.num_real_buyers) if dataset.max_bid(b) > 0]
@@ -478,7 +487,7 @@ class LpSolution:
     s: list[np.ndarray]  # per auction, the w masses in column order
     x_masses: dict[int, dict[int, float]]
     vector: np.ndarray
-    iterations: int
+    iterations: int  # HiGHS's on the marginal form (see lp_solver.SolveResult)
     max_violation: float
 
     @property
@@ -588,25 +597,228 @@ def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
     )
 
 
+def _pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with ``left[i] == right[j]``, ordered by i."""
+    order = np.argsort(right, kind="stable")
+    lo, hi = (np.searchsorted(right[order], left, side=side) for side in ("left", "right"))
+    counts = hi - lo
+    return np.repeat(np.arange(len(left)), counts), order[np.repeat(lo, counts) + _ranges(counts)]
+
+
+def _rank_within(group: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Rank of every member within its group, by ``key`` ascending (ties by position)."""
+    order = np.lexsort((key, group))
+    rank = np.empty(len(group), dtype=np.int64)
+    rank[order] = np.arange(len(group)) - np.searchsorted(group[order], group[order])
+    return rank
+
+
+def _reads_totals(row: np.ndarray, col: np.ndarray, group: np.ndarray,
+                  num_rows: int) -> np.ndarray:
+    """Rows that read every column of each group they read any column of.
+
+    ``row`` and ``col`` are a pattern's entries ordered by row; ``group`` is
+    the group of every column.
+    """
+    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=num_rows))]
+    size = np.bincount(group)
+    counts = sp.csr_matrix((np.ones(len(col)), group[col], indptr),
+                           shape=(num_rows, len(size)))
+    counts.sum_duplicates()  # one entry per (row, group): how many columns it reads
+    partial = np.repeat(np.arange(num_rows), np.diff(counts.indptr))[
+        counts.data != size[counts.indices]]
+    out = np.ones(num_rows, dtype=bool)
+    out[partial] = False
+    return out
+
+
+class Coupling:
+    """Expansion of a :func:`marginal_form` point into the full LP: ``coupling @ v``.
+
+    Per block (auction, winner orbit) and regime, the supporter marginal p
+    (supporter orbits by bid, descending) and the reserve marginal u (winner
+    reserves, descending) are laid on one line and cut at every partial sum
+    of either; each piece goes to the (supporter, reserve) pair whose
+    intervals hold it, the north-west-corner (quantile) coupling.  The Hall
+    rows put every piece on the regime's support; a piece that a solver's
+    tolerance pushed off it goes to its supporter's nearest supported
+    reserve, so no mass is dropped and ``lp_solver.solve``'s full-row check
+    judges the result.  Coupled blocks and the other quotient columns are
+    then spread by the quotient's ``P D``.  The map is piecewise linear in
+    ``v``, not a matrix.
+    """
+
+    def __init__(self, spread: sp.csr_matrix, w_p: np.ndarray, w_u: np.ndarray,
+                 p_group: np.ndarray, p_rank: np.ndarray, p_limit: np.ndarray,
+                 u_group: np.ndarray, u_rank: np.ndarray, high: np.ndarray) -> None:
+        self.spread = spread          # the quotient's P D
+        self.w_p, self.w_u = w_p, w_u  # per quotient w column: its p and its u column
+        self.n_p, self.n_u = len(p_group), len(u_group)
+        self.p_group, self.u_group = p_group, u_group  # their (block, regime) groups
+        self.p_limit = p_limit         # per p: u ranks in its group at or above its bid
+        self.high = high               # per group: winner reserve above the supporter's bid
+        shape = len(high), 1 + max(int(p_rank.max(initial=0)), int(u_rank.max(initial=0)))
+        self.p_at, self.u_at = np.full(shape, -1), np.full(shape, -1)
+        self.p_at[p_group, p_rank] = np.arange(self.n_p)
+        self.u_at[u_group, u_rank] = np.arange(self.n_u)
+        self.p_count, self.u_count = np.bincount(p_group), np.bincount(u_group)
+        self.w_at = np.full((self.n_p, shape[1]), -1)  # (p, u rank) -> w column, -1 if none
+        self.w_at[w_p, u_rank[w_u]] = np.arange(len(w_p))
+
+    def couple(self, v: np.ndarray) -> np.ndarray:
+        """The quotient's w columns coupled from the marginals in ``v``."""
+        v = np.maximum(np.asarray(v, dtype=float)[: self.n_p + self.n_u], 0.0)
+        masses = [np.where(at >= 0, part[at], 0.0) for at, part in (
+            (self.p_at, v[: self.n_p]), (self.u_at, v[self.n_p:]))]
+        ends = np.hstack([np.cumsum(m, axis=1) for m in masses])
+        order = np.argsort(ends, axis=1, kind="stable")
+        ends = np.take_along_axis(ends, order, axis=1)
+        length = np.diff(ends, axis=1, prepend=0.0)
+        from_p = order < self.p_at.shape[1]
+        i = np.cumsum(from_p, axis=1) - from_p  # p intervals ended before each piece
+        g, piece = np.nonzero(length > 0)
+        i = np.minimum(i[g, piece], self.p_count[g] - 1)
+        j = np.minimum(piece - i, self.u_count[g] - 1)
+        p = self.p_at[g, i]
+        j = np.where(self.high[g], np.minimum(j, self.p_limit[p] - 1),
+                     np.maximum(j, self.p_limit[p]))
+        return np.bincount(self.w_at[p, j], weights=length[g, piece], minlength=len(self.w_p))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        return self.spread @ np.concatenate([self.couple(v), v[self.n_p + self.n_u:]])
+
+
+def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solver.Quotient:
+    """The quotient with each block's w columns replaced by their two marginals.
+
+    A block is one auction and winner orbit; its w columns pair every
+    supporter orbit s (bid b_s) with every candidate winner reserve r (value
+    V_r) and earn weight * b_s on L = {V_r <= b_s} and weight * V_r on H =
+    {V_r > b_s}.  Rows (2'), (4) and (5) read a block only through
+    p[s] = sum_r w[s,r], row (3) only through u[r] = sum_s w[s,r]; each row
+    is checked to read every column of such a sum or none.  So per block
+    and regime the columns become p_L, p_H, u_L, u_H, with the objective on
+    p_L and u_H, a balance row sum p = sum u, and the nested Hall rows
+
+      L: sum_{V_r >= t} u_L <= sum_{b_s >= t} p_L   per reserve t above the lowest
+      H: sum_{b_s >= l} p_H <= sum_{V_r > l} u_H    per supporter bid l above the lowest
+
+    (the lowest one is the balance row).  By Gale's supply-demand theorem
+    they hold exactly when some w >= 0 on the regime's support has those
+    marginals, so the optimum is the quotient's, for any fixed x too; the
+    :class:`Coupling` builds such a w.  Columns: p, then u, then the
+    quotient's other columns; rows: the quotient's equalities, the balance
+    rows, the quotient's inequalities, the L and then the H Hall rows.
+    """
+    lp, spread = quotient.lp, quotient.expand
+    orbit = buyer_orbits(instance)
+    m, R = int(orbit.max()) + 1, len(instance.grid)
+    member = np.empty(spread.shape[1], dtype=np.int64)  # a full column of each quotient one
+    member[spread.indices] = np.repeat(np.arange(spread.shape[0]), np.diff(spread.indptr))
+    num_w = int(np.count_nonzero(member < len(instance.w_auction)))  # w orbits come first
+    member = member[:num_w]
+    auction, supporter = instance.w_auction[member], instance.w_supporter[member]
+    block = auction * m + orbit[instance.w_winner[member]]
+    r, bid = instance.w_r1[member], instance.n_le[auction, supporter]  # V_r <= b_s iff r < bid
+    high = r >= bid
+    sums_p, sums_u = block * m + orbit[supporter], block * R + r  # what p[s] and u[r] sum
+    w_p, p_first = _orbits(sums_p * 2 + high)
+    w_u, u_first = _orbits(sums_u * 2 + high)
+    n_p, n_u = len(p_first), len(u_first)
+
+    # per p and u column: its block and regime (one group, one balance row), bid or reserve
+    pb, ph, pv = block[p_first], high[p_first], bid[p_first]
+    ub, uh, uv = block[u_first], high[u_first], r[u_first]
+    group, firsts = _orbits(np.concatenate([pb * 2 + ph, ub * 2 + uh]))
+    p_group, u_group = group[:n_p], group[n_p:]
+
+    # a row reading a marginal takes the coefficient of the marginal's first column
+    first = np.full((2, num_w), -1)
+    first[0, p_first], first[1, u_first] = np.arange(n_p), n_p + np.arange(n_u)
+    sums = [_orbits(sums_p[p_first])[0][w_p], _orbits(sums_u[u_first])[0][w_u]]
+    num_cols = n_p + n_u + len(lp.c) - num_w
+
+    def marginal_rows(A: sp.csr_matrix) -> sp.csr_matrix:
+        """The quotient's rows ``A`` over the marginal form's columns."""
+        entries = A.tocoo()  # ordered by row
+        row, col = entries.row, entries.col
+        w = col < num_w
+        reads_p = _reads_totals(row[w], col[w], sums[0], A.shape[0])
+        by_u = ~reads_p[row[w]]
+        if not _reads_totals(row[w][by_u], col[w][by_u], sums[1], A.shape[0]).all():
+            raise ValueError("a quotient row reads a block through neither marginal")
+        new = col - num_w + n_p + n_u
+        new[w] = first[by_u.astype(np.int64), col[w]]
+        kept = new >= 0
+        indptr = np.r_[0, np.cumsum(np.bincount(row[kept], minlength=A.shape[0]))]
+        return sp.csr_matrix((entries.data[kept], new[kept], indptr), shape=(A.shape[0], num_cols))
+
+    def thresholds(member_block, value):
+        """Each block's distinct values but its lowest, as (block, value) arrays."""
+        keys = np.unique(member_block * (R + 1) + value)
+        keys = keys[1:][keys[1:] // (R + 1) == keys[:-1] // (R + 1)]
+        return keys // (R + 1), keys % (R + 1)
+
+    def at_least(row0, t_block, t_value, cols, col_block, col_value, sign):
+        """``sign`` on the columns of each threshold's block valued at least the threshold."""
+        i, j = _pairs(t_block, col_block)
+        keep = col_value[j] >= t_value[i]
+        return row0 + i[keep], cols[j[keep]], sign
+
+    pL, pH, uL, uH = (np.flatnonzero(h == side) for h in (ph, uh) for side in (False, True))
+    lb, lt = thresholds(ub[uL], uv[uL])  # L: reserve thresholds t
+    hb, hl = thresholds(pb[pH], pv[pH])  # H: supporter bids l
+    hall = _csr([
+        at_least(0, lb, lt, n_p + uL, ub[uL], uv[uL], 1.0),
+        at_least(0, lb, lt + 1, pL, pb[pL], pv[pL], -1.0),  # b_s >= V_t iff bid > t
+        at_least(len(lb), hb, hl, pH, pb[pH], pv[pH], 1.0),
+        at_least(len(lb), hb, hl, n_p + uH, ub[uH], uv[uH], -1.0),
+    ], (len(lb) + len(hb), num_cols))
+    balance = _csr([(p_group, np.arange(n_p), 1.0), (u_group, n_p + np.arange(n_u), -1.0)],
+                   (len(firsts), num_cols))
+
+    # coupling order: supporters by bid, reserves by value, both descending;
+    # p_limit counts the reserves of a supporter's group at or above its bid
+    u_sorted = np.sort(u_group * (R + 1) + uv)
+    p_limit = (np.searchsorted(u_sorted, (p_group + 1) * (R + 1))
+               - np.searchsorted(u_sorted, p_group * (R + 1) + pv))
+    return lp_solver.Quotient(
+        lp=lp_solver.StandardLp(
+            c=np.concatenate([np.where(ph, 0.0, lp.c[p_first]),
+                              np.where(uh, lp.c[u_first], 0.0), lp.c[num_w:]]),
+            A_eq=sp.vstack([marginal_rows(lp.A_eq), balance], format="csr"),
+            b_eq=np.concatenate([lp.b_eq, np.zeros(len(firsts))]),
+            A_le=sp.vstack([marginal_rows(lp.A_le), hall], format="csr"),
+            b_le=np.concatenate([lp.b_le, np.zeros(hall.shape[0])]),
+        ),
+        expand=Coupling(spread, w_p, w_u, p_group, _rank_within(p_group, -pv), p_limit,
+                        u_group, _rank_within(u_group, -uv),
+                        high=np.concatenate([ph, uh])[firsts]),
+    )
+
+
 def solve_lp(instance: LpInstance, *, tol_feas: float = 1e-7) -> LpSolution:
     """Solve an assembled instance to a verified optimum.
 
-    HiGHS solves the instance's :func:`symmetry_quotient`, an exact
-    reduction: averaging any optimum over the buyer-permutation group gives
-    an optimum in the group's fixed subspace, which has one variable per
-    column orbit and one distinct row per row orbit, and an optimum on
-    candidate reserves exists.  The quotient optimum expands back to the
-    full columns, orbit-mates carrying equal masses and non-candidate
-    columns 0, and :func:`lp_solver.solve` accepts it only after checking it against the
-    full rows, or rejects the solve with :class:`LpSolveError`.  The method
-    depends on the item count alone (see ``INTERIOR_POINT_MIN_ITEMS``), so a
-    dataset always takes the same path.
+    HiGHS solves the :func:`marginal_form` of the instance's
+    :func:`symmetry_quotient`, two exact reductions in a row.  Averaging any
+    optimum over the buyer-permutation group gives an optimum in the group's
+    fixed subspace, which has one variable per column orbit and one distinct
+    row per row orbit, and an optimum on candidate reserves exists; the
+    marginal form then keeps each block's two marginals instead of its w
+    columns.  The optimum is coupled back into w, expanded to the full
+    columns, orbit-mates carrying equal masses and non-candidate columns 0,
+    and :func:`lp_solver.solve` accepts it only after checking it against
+    the full rows, or rejects the solve with :class:`LpSolveError`.  The
+    method depends on the item count alone (see
+    ``INTERIOR_POINT_MIN_ITEMS``), so a dataset always takes the same path.
     """
     method = (lp_solver.SolveMethod.INTERIOR_POINT
               if instance.dataset.num_items >= INTERIOR_POINT_MIN_ITEMS
               else lp_solver.SolveMethod.DUAL_SIMPLEX)
     result = lp_solver.solve(instance.to_standard_lp(), method=method, tol_feas=tol_feas,
-                             quotient=symmetry_quotient(instance))
+                             quotient=marginal_form(instance, symmetry_quotient(instance)))
     s_parts, x_masses = instance.interpret(result.x)
     return LpSolution(
         instance=instance,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,13 +62,16 @@ class StandardLp:
 class Quotient:
     """A smaller LP with the same optimum, and the map of its points into the full LP.
 
-    ``expand`` is the matrix that sends a point ``u`` of ``lp`` to the full
-    LP's point ``expand @ u``.  :func:`solve` trusts neither: it re-verifies
-    the expanded point against the full rows.
+    ``expand`` is anything that supports ``expand @ u``, sending a point
+    ``u`` of ``lp`` (a 1-d array) to a 1-d array over the full LP's columns:
+    a sparse matrix for a linear reduction, or an object whose ``@`` is not
+    linear, such as a coupling of marginals.  It must be deterministic.
+    :func:`solve` trusts neither ``lp`` nor ``expand``: it re-verifies the
+    expanded point against the full rows and the full objective.
     """
 
     lp: StandardLp
-    expand: sp.csr_matrix
+    expand: Any
 
 
 @dataclass
@@ -75,8 +79,8 @@ class SolveResult:
     """A verified optimum; ``objective`` is ``c . x``.
 
     ``x``, ``objective`` and ``max_violation`` refer to the full LP;
-    ``iterations`` to the LP HiGHS solved, the quotient's with a
-    :class:`Quotient`.
+    ``iterations`` to the LP HiGHS solved, ``Quotient.lp`` with a
+    :class:`Quotient` (the marginal form for ``lp_model.solve_lp``).
     """
 
     x: np.ndarray

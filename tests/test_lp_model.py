@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from evcg_reserves import lp_solver
 from evcg_reserves.auction import (
@@ -15,6 +16,7 @@ from evcg_reserves.baselines import BadExampleSpec, bad_example, brute_force_opt
 from evcg_reserves.datasets import correlated_dataset, random_dataset
 from evcg_reserves.errors import LpSolveError, SizeGuardError
 from evcg_reserves.lp_model import (
+    DEFAULT_MAX_SUBPROFILES,
     INTERIOR_POINT_MIN_ITEMS,
     LpPoint,
     SubProfile,
@@ -22,6 +24,7 @@ from evcg_reserves.lp_model import (
     build_lp,
     encode_reserves,
     enumerate_subprofiles,
+    marginal_form,
     solve_lp,
     symmetry_quotient,
 )
@@ -69,21 +72,28 @@ class TestEnumeration:
             enumerate_subprofiles(three_bidder_k2, 0, grid_of(three_bidder_k2),
                                   max_subprofiles=5)
 
-    def test_build_guard_counts_full_subprofiles(self):
+    def test_build_guard_counts_allocated_subprofiles(self):
+        """The guard counts the winner-side sub-profiles build_lp allocates."""
         for ds in desk_instances(10, seed=59):
             grid = grid_of(ds)
-            total = sum(len(enumerate_subprofiles(ds, a, grid))
-                        for a in range(ds.num_auctions))
-            build_lp(ds, grid, max_subprofiles=total)  # exactly at the budget
-            for budget in (total - 1, total // 2, 0):
-                with pytest.raises(SizeGuardError) as built:
-                    build_lp(ds, grid, max_subprofiles=budget)
-                # enumerating auction by auction refuses with the same message
-                with pytest.raises(SizeGuardError) as enumerated:
-                    for a in range(ds.num_auctions):
-                        budget -= len(enumerate_subprofiles(ds, a, grid,
-                                                            max_subprofiles=budget))
-                assert str(built.value) == str(enumerated.value)
+            instance = build_lp(ds, grid)
+            total = len(instance.w_auction)
+            assert len(build_lp(ds, grid, max_subprofiles=total).w_auction) == total
+            # one below: the last auction with w columns is refused, with what
+            # was left of the budget after the auctions before it
+            last = int(instance.w_auction[-1])
+            left = total - 1 - int((instance.w_auction < last).sum())
+            with pytest.raises(SizeGuardError) as refused:
+                build_lp(ds, grid, max_subprofiles=total - 1)
+            assert str(refused.value) == (
+                f"auction {last}: sub-profile count exceeds {left}; raise the budget to proceed")
+
+    def test_wide_bid_dataset_admitted(self):
+        """5.9M full sub-profiles used to be refused; its 182k w columns are not."""
+        ds = add_auxiliary_buyers(random_dataset(12, 20, 3, 5, max_bid=200))
+        instance = build_lp(ds, grid_of(ds))  # the default budget
+        full = int(instance.n_le[instance.w_auction, instance.w_supporter].sum())
+        assert len(instance.w_auction) <= DEFAULT_MAX_SUBPROFILES < full
 
 
 class TestBuildAndSolve:
@@ -385,6 +395,192 @@ class TestSymmetryQuotient:
         unspread.data[:] = 1.0  # every member carries its orbit's total
         with pytest.raises(LpSolveError, match="violates constraints"):
             lp_solver.solve(lp, quotient=lp_solver.Quotient(quotient.lp, unspread))
+
+
+def high_columns(instance, quotient) -> np.ndarray:
+    """Per quotient w column: whether its winner reserve exceeds its supporter's bid."""
+    by_column = quotient.expand.tocsc()
+    member = by_column.indices[by_column.indptr[:-1]]
+    member = member[member < len(instance.w_auction)]
+    bids = np.array([a.bids for a in instance.dataset.auctions])
+    values = np.array(instance.grid.values)
+    return (values[instance.w_r1[member]]
+            > bids[instance.w_auction[member], instance.w_supporter[member]])
+
+
+class TestMarginalForm:
+    """solve_lp solves the quotient through each block's two marginals."""
+
+    @staticmethod
+    def forms(instances):
+        for ds in instances:
+            instance = build_lp(ds, grid_of(ds))
+            quotient = symmetry_quotient(instance)
+            yield instance, quotient, marginal_form(instance, quotient)
+
+    def test_coupling_reproduces_marginals(self):
+        rng = np.random.Generator(np.random.Philox(83))
+        cases = symmetric_instances(12, seed=83) + wide_bid_instances(6, seed=89)
+        cases += [bad_example(BadExampleSpec(k=k)) for k in (3, 8)]
+        for instance, quotient, form in self.forms(cases):
+            coupling = form.expand
+            high = high_columns(instance, quotient)
+            for density in (0.1, 0.5, 1.0):
+                # marginals of a w >= 0 on each regime's support meet the Hall rows
+                w = rng.exponential(size=len(high)) * (rng.random(len(high)) < density)
+                p = np.bincount(coupling.w_p, w, coupling.n_p)
+                u = np.bincount(coupling.w_u, w, coupling.n_u)
+                coupled = coupling.couple(np.concatenate([p, u]))
+                assert coupled.min() >= 0
+                assert np.abs(np.bincount(coupling.w_p, coupled, coupling.n_p) - p).max() <= 1e-12
+                assert np.abs(np.bincount(coupling.w_u, coupled, coupling.n_u) - u).max() <= 1e-12
+                # each regime's mass stays on that regime's (s, r) pairs
+                assert abs(coupled[high].sum() - w[high].sum()) <= 1e-12
+                assert abs(coupled[~high].sum() - w[~high].sum()) <= 1e-12
+
+    def test_hall_rows_hold_iff_marginals_couple(self):
+        """Per block and regime, the marginal form's Hall rows hold exactly when
+        the coupling reproduces both marginals (Gale's theorem)."""
+        rng = np.random.Generator(np.random.Philox(97))
+        cases = symmetric_instances(12, seed=97) + wide_bid_instances(6, seed=101)
+        outcomes = set()
+        for instance, quotient, form in self.forms(cases):
+            coupling, kept = form.expand, quotient.lp.A_le.shape[0]
+            n_p, n_u, groups = coupling.n_p, coupling.n_u, len(coupling.high)
+            hall = form.lp.A_le[kept:, :n_p + n_u].tocsr()
+            group = np.r_[coupling.p_group, coupling.u_group]
+            row_group = group[hall.indices[hall.indptr[:-1]]]
+            for _ in range(10):
+                v = rng.exponential(size=n_p + n_u) * (rng.random(n_p + n_u) < 0.6)
+                # balance each group: scale its reserve marginals to the supporters' total
+                p_total = np.bincount(coupling.p_group, v[:n_p], groups)
+                u_total = np.bincount(coupling.u_group, v[n_p:], groups)
+                scale = np.divide(p_total, u_total, out=np.zeros(groups), where=u_total > 0)
+                v[n_p:] *= scale[coupling.u_group]
+                v[:n_p] *= (u_total > 0)[coupling.p_group]
+                violated = np.bincount(row_group, hall @ v > 1e-9, groups) > 0
+                coupled = coupling.couple(v)
+                missed = np.abs(np.r_[np.bincount(coupling.w_p, coupled, n_p) - v[:n_p],
+                                      np.bincount(coupling.w_u, coupled, n_u) - v[n_p:]])
+                uncoupled = np.bincount(group, missed > 1e-9, groups) > 0
+                assert np.array_equal(violated, uncoupled)
+                outcomes.update(violated.tolist())
+        assert outcomes == {False, True}
+
+    def test_off_support_slice_goes_to_nearest_supported_reserve(self):
+        """A high-regime supporter whose only reserve mass sits below its bid
+        keeps its whole marginal, on its lowest reserve above the bid."""
+        checked = 0
+        for instance, quotient, form in self.forms(wide_bid_instances(12, seed=67)):
+            coupling = form.expand
+            n_p = coupling.n_p
+            for g in np.flatnonzero(coupling.high):
+                top = coupling.p_at[g, 0]  # highest bid: fewest supported reserves
+                below = coupling.p_limit[top]  # reserve ranks at or above its bid
+                if below == coupling.u_count[g]:
+                    continue  # every reserve of the group supports it
+                v = np.zeros(n_p + coupling.n_u)
+                v[top] = 1.0
+                v[n_p + coupling.u_at[g, below]] = 1.0  # the highest reserve below the bid
+                coupled = coupling.couple(v)
+                assert coupled.sum() == 1.0
+                (col,) = np.flatnonzero(coupled)
+                assert coupling.w_p[col] == top
+                assert coupling.w_u[col] == coupling.u_at[g, below - 1]
+                checked += 1
+        assert checked > 0
+
+    def test_hall_rows_cut_off_uncoupled_marginals(self):
+        """Without either Hall family the optimum stays: coupling each regime's
+        marginals anywhere earns max(b_s, V_r) per unit, at least what they
+        were credited.  What the rows cut off are marginals that no w on the
+        regime's support has: maximising a family's total violation over the
+        other rows is positive on some instance, and the coupling of that
+        point then misses its reserve marginals."""
+        cases = symmetric_instances(20, seed=61) + wide_bid_instances(12, seed=67)
+        cut = {"L": 0, "H": 0}
+        for instance, quotient, form in self.forms(cases):
+            lp, kept, coupling = form.lp, quotient.lp.A_le.shape[0], form.expand
+            optimum = solve_lp(instance).objective
+            # an H row has +1 on supporter marginals, an L row -1 or none
+            high = np.asarray((lp.A_le[kept:, :coupling.n_p] > 0).sum(axis=1)).ravel() > 0
+            for family, dropped in (("L", ~high), ("H", high)):
+                rows = np.r_[np.ones(kept, dtype=bool), ~dropped]
+
+                def relaxed(c, rows=rows):
+                    return lp_solver.solve(lp_solver.StandardLp(
+                        c=c, A_eq=lp.A_eq, b_eq=lp.b_eq, A_le=lp.A_le[rows], b_le=lp.b_le[rows]))
+
+                gap = relaxed(lp.c).objective - optimum
+                assert abs(gap) <= 1e-9 * max(1.0, abs(optimum)), (family, gap)
+                worst = relaxed(np.asarray(lp.A_le[kept:][dropped].sum(axis=0)).ravel())
+                if worst.objective > 1e-6:
+                    u = worst.x[coupling.n_p:coupling.n_p + coupling.n_u]
+                    coupled_u = np.bincount(coupling.w_u, coupling.couple(worst.x), coupling.n_u)
+                    assert np.abs(coupled_u - u).max() > 1e-9
+                    cut[family] += 1
+        assert min(cut.values()) > 0, cut
+
+    def test_worst_case_marginal_size_is_constant(self):
+        sizes = []
+        for k in (20, 40, 80):
+            ds = bad_example(BadExampleSpec(k=k))
+            instance = build_lp(ds, grid_of(ds))
+            lp = marginal_form(instance, symmetry_quotient(instance)).lp
+            sizes.append((len(lp.c), lp.A_eq.shape[0] + lp.A_le.shape[0]))
+        assert sizes == [(126, 125)] * 3
+        solution = solve_lp(instance)  # k = 80, checked on the full rows
+        assert solution.max_violation <= 1e-7
+        assert solution.objective == float(instance.c @ solution.vector)
+
+    def test_row_reading_neither_marginal_rejected(self):
+        """A row reading one column of a block, not a whole supporter or
+        reserve sum, has no marginal form."""
+        ds = bad_example(BadExampleSpec(k=4))
+        instance = build_lp(ds, grid_of(ds))
+        quotient = symmetry_quotient(instance)
+        coupling = marginal_form(instance, quotient).expand
+        # a column whose supporter sum and reserve sum both have other columns
+        shared = ((np.bincount(coupling.w_p)[coupling.w_p] > 1)
+                  & (np.bincount(coupling.w_u)[coupling.w_u] > 1))
+        one = sp.csr_matrix(([1.0], ([0], [int(np.flatnonzero(shared)[0])])),
+                            shape=(1, len(quotient.lp.c)))
+        lp = quotient.lp
+        widened = lp_solver.Quotient(lp_solver.StandardLp(
+            c=lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, A_le=sp.vstack([lp.A_le, one], format="csr"),
+            b_le=np.r_[lp.b_le, 1.0]), quotient.expand)
+        with pytest.raises(ValueError, match="neither marginal"):
+            marginal_form(instance, widened)
+
+    def test_perturbed_marginal_judged_by_full_rows(self, monkeypatch):
+        """A supporter marginal off by 1e-9 couples without losing the slice;
+        the full-row check alone accepts or rejects the point."""
+        ds = bad_example(BadExampleSpec(k=4))
+        instance = build_lp(ds, grid_of(ds))
+        coupling = marginal_form(instance, symmetry_quotient(instance)).expand
+        p_high = coupling.high[coupling.p_group]
+        real, seen = lp_solver.linprog, {}
+
+        def perturbed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            # a high-regime supporter marginal at 0: no reserve of its block
+            # takes the extra mass, so its slice is sent to a supported one
+            j = int(np.flatnonzero(p_high & (res.x[:coupling.n_p] == 0))[0])
+            res.x = res.x.copy()
+            res.x[j] += 1e-9
+            seen.update(j=j, x=res.x)
+            return res
+
+        monkeypatch.setattr(lp_solver, "linprog", perturbed)
+        solution = solve_lp(instance)
+        violation = lp_solver.feasibility_violation(instance.to_standard_lp(),
+                                                    coupling @ seen["x"])
+        assert solution.max_violation == violation and 0 < violation <= 1e-7
+        coupled = coupling.couple(seen["x"])
+        assert np.bincount(coupling.w_p, coupled, coupling.n_p)[seen["j"]] == pytest.approx(
+            1e-9, abs=1e-15)
+        with pytest.raises(LpSolveError, match="violates constraints"):
+            solve_lp(instance, tol_feas=violation / 2)
 
 
 class TestEncode:
