@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -333,6 +334,18 @@ def _attach_timings(args, doc: dict, started: float) -> None:
         doc["timings"] = {"total_seconds": time.perf_counter() - started}
 
 
+def _at_least(kind: type, low: int):
+    """argparse type: a finite ``kind`` number no smaller than ``low``."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, *, needs_dataset: bool = True) -> None:
     if needs_dataset:
         p.add_argument("--dataset", required=True, help="dataset JSON file")
@@ -341,10 +354,11 @@ def _add_common(p: argparse.ArgumentParser, *, needs_dataset: bool = True) -> No
     p.add_argument("--boost", type=float, default=0.55)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-subprofiles", type=int, default=lp_model.DEFAULT_MAX_SUBPROFILES)
-    p.add_argument("--tol-feas", type=float, default=1e-7)
-    p.add_argument("--brute-cap", type=int, default=baselines.DEFAULT_BRUTE_CAP)
+    p.add_argument("--threads", type=_at_least(int, 1), default=1)
+    p.add_argument("--max-subprofiles", type=_at_least(int, 0),
+                   default=lp_model.DEFAULT_MAX_SUBPROFILES)
+    p.add_argument("--tol-feas", type=_at_least(float, 0), default=1e-7)
+    p.add_argument("--brute-cap", type=_at_least(int, 0), default=baselines.DEFAULT_BRUTE_CAP)
     p.add_argument("--timings", action="store_true",
                    help="append wall-clock timings to the report (breaks byte determinism)")
 

@@ -28,7 +28,7 @@ at k = 20.
 
 Every row reads a winner's (supporter x reserve) block of w columns through
 one of its two marginals, so HiGHS solves the quotient's
-:func:`marginal_form`: the marginals, a balance row and nested Hall rows per
+:func:`marginal_form`, by dual simplex: the marginals and a balance row per
 block and regime, 13,977 columns where the quotient of the 15 x 30 benchmark
 instance has 28,392.  :class:`Coupling` turns its optimum back into w.
 """
@@ -47,16 +47,6 @@ from .auction import BidDataset, ReserveGrid, batch_evaluator, candidate_mask, v
 from .errors import SizeGuardError
 
 DEFAULT_MAX_SUBPROFILES = 500_000
-# From this item count on, solve_lp uses interior point with crossover instead
-# of dual simplex.  The rule was set on the full LP, where simplex iterations
-# grew with k (10,417 at k=20) and interior point was faster on every one of
-# 20 instances from k=8.  Re-timed on the marginal form (lp_solver.solve with
-# the coupling and the checks, median of 3, 22 random, correlated and
-# bad_example instances, k 1-24, up to 2,047 columns), dual simplex took 5-72
-# ms and was faster on all 22, interior point 1.1-3x slower at every k
-# (bad_example(20): 5.5 vs 9.4 ms).  The rule stays until the method no
-# longer moves the reported point (ROADMAP item 2).
-INTERIOR_POINT_MIN_ITEMS = 8
 
 
 class SubProfile(NamedTuple):
@@ -597,14 +587,6 @@ def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
     )
 
 
-def _pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (i, j) with ``left[i] == right[j]``, ordered by i."""
-    order = np.argsort(right, kind="stable")
-    lo, hi = (np.searchsorted(right[order], left, side=side) for side in ("left", "right"))
-    counts = hi - lo
-    return np.repeat(np.arange(len(left)), counts), order[np.repeat(lo, counts) + _ranges(counts)]
-
-
 def _rank_within(group: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Rank of every member within its group, by ``key`` ascending (ties by position)."""
     order = np.lexsort((key, group))
@@ -638,32 +620,33 @@ class Coupling:
     Per block (auction, winner orbit) and regime, the supporter marginal p
     (supporter orbits by bid, descending) and the reserve marginal u (winner
     reserves, descending) are laid on one line and cut at every partial sum
-    of either; each piece goes to the (supporter, reserve) pair whose
-    intervals hold it, the north-west-corner (quantile) coupling.  The Hall
-    rows put every piece on the regime's support; a piece that a solver's
-    tolerance pushed off it goes to its supporter's nearest supported
-    reserve, so no mass is dropped and ``lp_solver.solve``'s full-row check
-    judges the result.  Coupled blocks and the other quotient columns are
-    then spread by the quotient's ``P D``.  The map is piecewise linear in
-    ``v``, not a matrix.
+    of either; each piece goes to the w column of the block that pairs the
+    supporter and the reserve whose intervals hold it, the north-west-corner
+    (quantile) coupling.  That column may belong to the other regime: it
+    then earns max(b_s, V_r), at least what the piece was credited.  Every
+    supporter and every reserve keeps its total, which is all the rows
+    read, so ``lp_solver.solve``'s checks judge the result.  Coupled blocks
+    and the other quotient columns are then spread by the quotient's
+    ``P D``.  The map is piecewise linear in ``v``, not a matrix.
     """
 
     def __init__(self, spread: sp.csr_matrix, w_p: np.ndarray, w_u: np.ndarray,
-                 p_group: np.ndarray, p_rank: np.ndarray, p_limit: np.ndarray,
-                 u_group: np.ndarray, u_rank: np.ndarray, high: np.ndarray) -> None:
+                 p_group: np.ndarray, p_rank: np.ndarray, p_supporter: np.ndarray,
+                 u_group: np.ndarray, u_rank: np.ndarray, u_reserve: np.ndarray) -> None:
         self.spread = spread          # the quotient's P D
         self.w_p, self.w_u = w_p, w_u  # per quotient w column: its p and its u column
         self.n_p, self.n_u = len(p_group), len(u_group)
         self.p_group, self.u_group = p_group, u_group  # their (block, regime) groups
-        self.p_limit = p_limit         # per p: u ranks in its group at or above its bid
-        self.high = high               # per group: winner reserve above the supporter's bid
-        shape = len(high), 1 + max(int(p_rank.max(initial=0)), int(u_rank.max(initial=0)))
+        self.p_count, self.u_count = np.bincount(p_group), np.bincount(u_group)
+        shape = len(self.p_count), 1 + max(int(p_rank.max(initial=0)), int(u_rank.max(initial=0)))
         self.p_at, self.u_at = np.full(shape, -1), np.full(shape, -1)
         self.p_at[p_group, p_rank] = np.arange(self.n_p)
         self.u_at[u_group, u_rank] = np.arange(self.n_u)
-        self.p_count, self.u_count = np.bincount(p_group), np.bincount(u_group)
-        self.w_at = np.full((self.n_p, shape[1]), -1)  # (p, u rank) -> w column, -1 if none
-        self.w_at[w_p, u_rank[w_u]] = np.arange(len(w_p))
+        # per p its (block, supporter orbit), per u its reserve; both regimes share them
+        self.p_supporter, self.u_reserve = p_supporter, u_reserve
+        self.w_at = np.full((int(p_supporter.max(initial=-1)) + 1,
+                             int(u_reserve.max(initial=-1)) + 1), -1)  # -1 if none
+        self.w_at[p_supporter[w_p], u_reserve[w_u]] = np.arange(len(w_p))
 
     def couple(self, v: np.ndarray) -> np.ndarray:
         """The quotient's w columns coupled from the marginals in ``v``."""
@@ -679,10 +662,8 @@ class Coupling:
         g, piece = np.nonzero(length > 0)
         i = np.minimum(i[g, piece], self.p_count[g] - 1)
         j = np.minimum(piece - i, self.u_count[g] - 1)
-        p = self.p_at[g, i]
-        j = np.where(self.high[g], np.minimum(j, self.p_limit[p] - 1),
-                     np.maximum(j, self.p_limit[p]))
-        return np.bincount(self.w_at[p, j], weights=length[g, piece], minlength=len(self.w_p))
+        w = self.w_at[self.p_supporter[self.p_at[g, i]], self.u_reserve[self.u_at[g, j]]]
+        return np.bincount(w, weights=length[g, piece], minlength=len(self.w_p))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -699,17 +680,15 @@ def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solv
     p[s] = sum_r w[s,r], row (3) only through u[r] = sum_s w[s,r]; each row
     is checked to read every column of such a sum or none.  So per block
     and regime the columns become p_L, p_H, u_L, u_H, with the objective on
-    p_L and u_H, a balance row sum p = sum u, and the nested Hall rows
+    p_L and u_H and a balance row sum p = sum u.
 
-      L: sum_{V_r >= t} u_L <= sum_{b_s >= t} p_L   per reserve t above the lowest
-      H: sum_{b_s >= l} p_H <= sum_{V_r > l} u_H    per supporter bid l above the lowest
-
-    (the lowest one is the balance row).  By Gale's supply-demand theorem
-    they hold exactly when some w >= 0 on the regime's support has those
-    marginals, so the optimum is the quotient's, for any fixed x too; the
-    :class:`Coupling` builds such a w.  Columns: p, then u, then the
-    quotient's other columns; rows: the quotient's equalities, the balance
-    rows, the quotient's inequalities, the L and then the H Hall rows.
+    The optimum is the quotient's, for any fixed x too.  A w maps to its
+    marginals with the same objective.  Conversely the :class:`Coupling` of
+    balanced marginals has the same supporter and reserve totals, so it
+    meets every row, and each unit of it earns max(b_s, V_r), at least what
+    the marginals credited it.  Columns: p, then u, then the quotient's
+    other columns; rows: the quotient's equalities, the balance rows, the
+    quotient's inequalities.
     """
     lp, spread = quotient.lp, quotient.expand
     orbit = buyer_orbits(instance)
@@ -728,15 +707,15 @@ def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solv
     n_p, n_u = len(p_first), len(u_first)
 
     # per p and u column: its block and regime (one group, one balance row), bid or reserve
-    pb, ph, pv = block[p_first], high[p_first], bid[p_first]
-    ub, uh, uv = block[u_first], high[u_first], r[u_first]
-    group, firsts = _orbits(np.concatenate([pb * 2 + ph, ub * 2 + uh]))
+    ph, pv, uh, uv = high[p_first], bid[p_first], high[u_first], r[u_first]
+    group, firsts = _orbits(np.concatenate([block[p_first] * 2 + ph, block[u_first] * 2 + uh]))
     p_group, u_group = group[:n_p], group[n_p:]
 
     # a row reading a marginal takes the coefficient of the marginal's first column
     first = np.full((2, num_w), -1)
     first[0, p_first], first[1, u_first] = np.arange(n_p), n_p + np.arange(n_u)
-    sums = [_orbits(sums_p[p_first])[0][w_p], _orbits(sums_u[u_first])[0][w_u]]
+    p_supporter = _orbits(sums_p[p_first])[0]
+    sums = [p_supporter[w_p], _orbits(sums_u[u_first])[0][w_u]]
     num_cols = n_p + n_u + len(lp.c) - num_w
 
     def marginal_rows(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -754,47 +733,20 @@ def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solv
         indptr = np.r_[0, np.cumsum(np.bincount(row[kept], minlength=A.shape[0]))]
         return sp.csr_matrix((entries.data[kept], new[kept], indptr), shape=(A.shape[0], num_cols))
 
-    def thresholds(member_block, value):
-        """Each block's distinct values but its lowest, as (block, value) arrays."""
-        keys = np.unique(member_block * (R + 1) + value)
-        keys = keys[1:][keys[1:] // (R + 1) == keys[:-1] // (R + 1)]
-        return keys // (R + 1), keys % (R + 1)
-
-    def at_least(row0, t_block, t_value, cols, col_block, col_value, sign):
-        """``sign`` on the columns of each threshold's block valued at least the threshold."""
-        i, j = _pairs(t_block, col_block)
-        keep = col_value[j] >= t_value[i]
-        return row0 + i[keep], cols[j[keep]], sign
-
-    pL, pH, uL, uH = (np.flatnonzero(h == side) for h in (ph, uh) for side in (False, True))
-    lb, lt = thresholds(ub[uL], uv[uL])  # L: reserve thresholds t
-    hb, hl = thresholds(pb[pH], pv[pH])  # H: supporter bids l
-    hall = _csr([
-        at_least(0, lb, lt, n_p + uL, ub[uL], uv[uL], 1.0),
-        at_least(0, lb, lt + 1, pL, pb[pL], pv[pL], -1.0),  # b_s >= V_t iff bid > t
-        at_least(len(lb), hb, hl, pH, pb[pH], pv[pH], 1.0),
-        at_least(len(lb), hb, hl, n_p + uH, ub[uH], uv[uH], -1.0),
-    ], (len(lb) + len(hb), num_cols))
     balance = _csr([(p_group, np.arange(n_p), 1.0), (u_group, n_p + np.arange(n_u), -1.0)],
                    (len(firsts), num_cols))
-
-    # coupling order: supporters by bid, reserves by value, both descending;
-    # p_limit counts the reserves of a supporter's group at or above its bid
-    u_sorted = np.sort(u_group * (R + 1) + uv)
-    p_limit = (np.searchsorted(u_sorted, (p_group + 1) * (R + 1))
-               - np.searchsorted(u_sorted, p_group * (R + 1) + pv))
     return lp_solver.Quotient(
         lp=lp_solver.StandardLp(
             c=np.concatenate([np.where(ph, 0.0, lp.c[p_first]),
                               np.where(uh, lp.c[u_first], 0.0), lp.c[num_w:]]),
             A_eq=sp.vstack([marginal_rows(lp.A_eq), balance], format="csr"),
             b_eq=np.concatenate([lp.b_eq, np.zeros(len(firsts))]),
-            A_le=sp.vstack([marginal_rows(lp.A_le), hall], format="csr"),
-            b_le=np.concatenate([lp.b_le, np.zeros(hall.shape[0])]),
+            A_le=marginal_rows(lp.A_le),
+            b_le=lp.b_le,
         ),
-        expand=Coupling(spread, w_p, w_u, p_group, _rank_within(p_group, -pv), p_limit,
-                        u_group, _rank_within(u_group, -uv),
-                        high=np.concatenate([ph, uh])[firsts]),
+        # coupling order: supporters by bid, reserves by value, both descending
+        expand=Coupling(spread, w_p, w_u, p_group, _rank_within(p_group, -pv), p_supporter,
+                        u_group, _rank_within(u_group, -uv), uv),
     )
 
 
@@ -810,14 +762,9 @@ def solve_lp(instance: LpInstance, *, tol_feas: float = 1e-7) -> LpSolution:
     columns.  The optimum is coupled back into w, expanded to the full
     columns, orbit-mates carrying equal masses and non-candidate columns 0,
     and :func:`lp_solver.solve` accepts it only after checking it against
-    the full rows, or rejects the solve with :class:`LpSolveError`.  The
-    method depends on the item count alone (see
-    ``INTERIOR_POINT_MIN_ITEMS``), so a dataset always takes the same path.
+    the full rows, or rejects the solve with :class:`LpSolveError`.
     """
-    method = (lp_solver.SolveMethod.INTERIOR_POINT
-              if instance.dataset.num_items >= INTERIOR_POINT_MIN_ITEMS
-              else lp_solver.SolveMethod.DUAL_SIMPLEX)
-    result = lp_solver.solve(instance.to_standard_lp(), method=method, tol_feas=tol_feas,
+    result = lp_solver.solve(instance.to_standard_lp(), tol_feas=tol_feas,
                              quotient=marginal_form(instance, symmetry_quotient(instance)))
     s_parts, x_masses = instance.interpret(result.x)
     return LpSolution(

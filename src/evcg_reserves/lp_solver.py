@@ -12,7 +12,6 @@ identical input.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,13 +22,6 @@ from scipy.optimize import linprog
 from .errors import LpSolveError
 
 OBJECTIVE_TOL = 1e-9  # relative gap allowed between HiGHS's objective and c . x
-
-
-class SolveMethod(enum.Enum):
-    """HiGHS algorithm; the value is scipy's ``linprog`` method name."""
-
-    DUAL_SIMPLEX = "highs"
-    INTERIOR_POINT = "highs-ipm"  # IPX, followed by crossover to a vertex
 
 
 @dataclass
@@ -79,8 +71,9 @@ class SolveResult:
     """A verified optimum; ``objective`` is ``c . x``.
 
     ``x``, ``objective`` and ``max_violation`` refer to the full LP;
-    ``iterations`` to the LP HiGHS solved, ``Quotient.lp`` with a
-    :class:`Quotient` (the marginal form for ``lp_model.solve_lp``).
+    ``iterations`` counts HiGHS's dual simplex iterations on the LP it
+    solved, ``Quotient.lp`` with a :class:`Quotient` (the marginal form for
+    ``lp_model.solve_lp``).
     """
 
     x: np.ndarray
@@ -109,11 +102,10 @@ def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
 def solve(
     lp: StandardLp,
     *,
-    method: SolveMethod = SolveMethod.DUAL_SIMPLEX,
     tol_feas: float = 1e-7,
     quotient: Quotient | None = None,
 ) -> SolveResult:
-    """Solve with ``method`` and return the optimum only once it is verified.
+    """Solve by HiGHS's dual simplex and return the optimum only once it is verified.
 
     With a ``quotient``, HiGHS solves ``quotient.lp`` and ``x`` is its point
     expanded into ``lp``'s columns; the checks below read ``lp`` alone.
@@ -121,10 +113,11 @@ def solve(
     Raises :class:`LpSolveError`, carrying HiGHS's status and message, unless
     HiGHS reports optimal, :func:`feasibility_violation` of the point is at
     most ``tol_feas``, and HiGHS's objective matches ``c . x`` within
-    ``OBJECTIVE_TOL``; there is no silently suboptimal return.
-    ``iterations`` counts simplex iterations, or interior-point iterations
-    (crossover excluded) for ``INTERIOR_POINT``.
+    ``OBJECTIVE_TOL``; there is no silently suboptimal return.  A negative
+    or non-finite ``tol_feas`` raises ``ValueError`` before the solve.
     """
+    if not 0.0 <= tol_feas < np.inf:
+        raise ValueError(f"tol_feas must be a finite number >= 0, not {tol_feas!r}")
     solved = lp if quotient is None else quotient.lp
     res = linprog(
         -solved.c,
@@ -133,7 +126,7 @@ def solve(
         A_eq=solved.A_eq,
         b_eq=solved.b_eq,
         bounds=(0, None),
-        method=method.value,
+        method="highs",
         options={"presolve": True},
     )
     highs = f"(status {res.status}: {res.message})"

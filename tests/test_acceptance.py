@@ -323,7 +323,7 @@ def test_criterion_9_byte_identical_reports(tmp_path):
             {"weight": 1, "bids": ["1", "0", "8", "6"]},
         ],
     }))
-    # k=8 takes the interior-point path of solve_lp
+    # k=8: the worst-case family, a degenerate LP
     worstcase = tmp_path / "bad8.json"
     save_dataset(bad_example(BadExampleSpec(k=8), augmented=False), worstcase)
     blobs: dict[tuple[str, str], set[bytes]] = {}

@@ -257,6 +257,24 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-subprofiles", "-5"),
+        ("--brute-cap", "-1"),
+        ("--threads", "0"),
+        ("--threads", "-2"),
+        ("--tol-feas", "nan"),
+        ("--tol-feas", "inf"),
+        ("--tol-feas", "-0.5"),
+    ])
+    def test_out_of_range_number_rejected(self, dataset_file, tmp_path, capsys, flag, value):
+        """Refused while parsing, before the dataset is read or a report written."""
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as exited:
+            run(["bench", "--dataset", dataset_file, flag, value, "--out", str(out)])
+        assert exited.value.code == cli.EXIT_VALIDATION
+        assert f"argument {flag}: {value!r} is not a finite number >=" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -17,7 +17,6 @@ from evcg_reserves.datasets import correlated_dataset, random_dataset
 from evcg_reserves.errors import LpSolveError, SizeGuardError
 from evcg_reserves.lp_model import (
     DEFAULT_MAX_SUBPROFILES,
-    INTERIOR_POINT_MIN_ITEMS,
     LpPoint,
     SubProfile,
     buyer_orbits,
@@ -152,6 +151,7 @@ class TestBuildAndSolve:
             assert sol.objective >= best - 1e-6
 
     def test_method_follows_item_count(self, monkeypatch):
+        """One method at every item count: dual simplex, on either side of k = 8."""
         calls = []
         real = lp_solver.linprog
 
@@ -165,23 +165,8 @@ class TestBuildAndSolve:
             solve_lp(build_lp(ds, grid_of(ds)))
         assert calls == [
             {"bounds": (0, None), "method": "highs", "options": {"presolve": True}},
-            {"bounds": (0, None), "method": "highs-ipm", "options": {"presolve": True}},
+            {"bounds": (0, None), "method": "highs", "options": {"presolve": True}},
         ]
-
-    def test_methods_agree(self):
-        instances = [bad_example(BadExampleSpec(k=k)) for k in (2, 4, 6, 8)]
-        for i, k in enumerate((2, 4, 6, 8, 12)):
-            instances.append(add_auxiliary_buyers(random_dataset(
-                k + 3, 3, k, seed=300 + i, max_bid=9, max_weight=3)))
-            instances.append(add_auxiliary_buyers(correlated_dataset(
-                k + 2, 3, k, seed=400 + i, noise=0.3)))
-        for ds in instances:
-            lp = build_lp(ds, grid_of(ds)).to_standard_lp()
-            simplex, ipm = (lp_solver.solve(lp, method=m) for m in (
-                lp_solver.SolveMethod.DUAL_SIMPLEX, lp_solver.SolveMethod.INTERIOR_POINT))
-            assert abs(simplex.objective - ipm.objective) <= (
-                lp_solver.OBJECTIVE_TOL * max(1.0, abs(simplex.objective)))
-            assert max(simplex.max_violation, ipm.max_violation) <= 1e-7
 
     def test_solver_objective_disagreeing_with_point_raises(self, monkeypatch,
                                                             two_bidder_k1):
@@ -292,11 +277,8 @@ def non_candidate_columns(instance) -> np.ndarray:
 
 
 def full_solve(instance):
-    """The full LP, solved without the quotient by the method solve_lp picks."""
-    method = (lp_solver.SolveMethod.INTERIOR_POINT
-              if instance.dataset.num_items >= INTERIOR_POINT_MIN_ITEMS
-              else lp_solver.SolveMethod.DUAL_SIMPLEX)
-    return lp_solver.solve(instance.to_standard_lp(), method=method)
+    """The full LP, solved without the quotient."""
+    return lp_solver.solve(instance.to_standard_lp())
 
 
 def transposition(instance, b: int, c: int) -> np.ndarray:
@@ -397,15 +379,29 @@ class TestSymmetryQuotient:
             lp_solver.solve(lp, quotient=lp_solver.Quotient(quotient.lp, unspread))
 
 
-def high_columns(instance, quotient) -> np.ndarray:
-    """Per quotient w column: whether its winner reserve exceeds its supporter's bid."""
+def block_columns(instance, quotient) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per quotient w column, from the full instance: its supporter sum
+    (auction, winner orbit, supporter orbit), its reserve sum (auction, winner
+    orbit, reserve) and whether its winner reserve exceeds its supporter's bid."""
     by_column = quotient.expand.tocsc()
     member = by_column.indices[by_column.indptr[:-1]]
     member = member[member < len(instance.w_auction)]
+    orbit = buyer_orbits(instance)
+    auction, r = instance.w_auction[member], instance.w_r1[member]
+    supporter = instance.w_supporter[member]
+    block = np.column_stack([auction, orbit[instance.w_winner[member]]])
     bids = np.array([a.bids for a in instance.dataset.auctions])
     values = np.array(instance.grid.values)
-    return (values[instance.w_r1[member]]
-            > bids[instance.w_auction[member], instance.w_supporter[member]])
+    return (np.unique(np.column_stack([block, orbit[supporter]]), axis=0, return_inverse=True)[1],
+            np.unique(np.column_stack([block, r]), axis=0, return_inverse=True)[1],
+            values[r] > bids[auction, supporter])
+
+
+def marginal_sums(coupling, key: np.ndarray) -> np.ndarray:
+    """Per marginal column of ``coupling``, the ``key`` of its w columns."""
+    out = np.empty(coupling.n_p + coupling.n_u, dtype=np.int64)
+    out[coupling.w_p], out[coupling.n_p + coupling.w_u] = key, key
+    return out
 
 
 class TestMarginalForm:
@@ -424,9 +420,9 @@ class TestMarginalForm:
         cases += [bad_example(BadExampleSpec(k=k)) for k in (3, 8)]
         for instance, quotient, form in self.forms(cases):
             coupling = form.expand
-            high = high_columns(instance, quotient)
+            high = block_columns(instance, quotient)[2]
             for density in (0.1, 0.5, 1.0):
-                # marginals of a w >= 0 on each regime's support meet the Hall rows
+                # the marginals of a w >= 0 on each regime's support
                 w = rng.exponential(size=len(high)) * (rng.random(len(high)) < density)
                 p = np.bincount(coupling.w_p, w, coupling.n_p)
                 u = np.bincount(coupling.w_u, w, coupling.n_u)
@@ -438,19 +434,22 @@ class TestMarginalForm:
                 assert abs(coupled[high].sum() - w[high].sum()) <= 1e-12
                 assert abs(coupled[~high].sum() - w[~high].sum()) <= 1e-12
 
-    def test_hall_rows_hold_iff_marginals_couple(self):
-        """Per block and regime, the marginal form's Hall rows hold exactly when
-        the coupling reproduces both marginals (Gale's theorem)."""
+    def test_any_balanced_marginals_couple(self):
+        """Per block and regime, any balanced marginals couple back to both
+        marginals, whether or not some w on the regime's support has them; a
+        piece that lands on the other regime's pair earns max(b_s, V_r), so
+        the coupled objective is at least what the marginals were credited."""
         rng = np.random.Generator(np.random.Philox(97))
         cases = symmetric_instances(12, seed=97) + wide_bid_instances(6, seed=101)
-        outcomes = set()
+        cases += [bad_example(BadExampleSpec(k=k)) for k in (3, 8)]
+        gains = []
         for instance, quotient, form in self.forms(cases):
-            coupling, kept = form.expand, quotient.lp.A_le.shape[0]
-            n_p, n_u, groups = coupling.n_p, coupling.n_u, len(coupling.high)
-            hall = form.lp.A_le[kept:, :n_p + n_u].tocsr()
-            group = np.r_[coupling.p_group, coupling.u_group]
-            row_group = group[hall.indices[hall.indptr[:-1]]]
-            for _ in range(10):
+            coupling = form.expand
+            n_p, n_u, groups = coupling.n_p, coupling.n_u, len(coupling.p_count)
+            supporter, reserve, _ = block_columns(instance, quotient)
+            p_sum = marginal_sums(coupling, supporter)[:n_p]
+            u_sum = marginal_sums(coupling, reserve)[n_p:]
+            for _ in range(8):
                 v = rng.exponential(size=n_p + n_u) * (rng.random(n_p + n_u) < 0.6)
                 # balance each group: scale its reserve marginals to the supporters' total
                 p_total = np.bincount(coupling.p_group, v[:n_p], groups)
@@ -458,68 +457,17 @@ class TestMarginalForm:
                 scale = np.divide(p_total, u_total, out=np.zeros(groups), where=u_total > 0)
                 v[n_p:] *= scale[coupling.u_group]
                 v[:n_p] *= (u_total > 0)[coupling.p_group]
-                violated = np.bincount(row_group, hall @ v > 1e-9, groups) > 0
                 coupled = coupling.couple(v)
-                missed = np.abs(np.r_[np.bincount(coupling.w_p, coupled, n_p) - v[:n_p],
-                                      np.bincount(coupling.w_u, coupled, n_u) - v[n_p:]])
-                uncoupled = np.bincount(group, missed > 1e-9, groups) > 0
-                assert np.array_equal(violated, uncoupled)
-                outcomes.update(violated.tolist())
-        assert outcomes == {False, True}
-
-    def test_off_support_slice_goes_to_nearest_supported_reserve(self):
-        """A high-regime supporter whose only reserve mass sits below its bid
-        keeps its whole marginal, on its lowest reserve above the bid."""
-        checked = 0
-        for instance, quotient, form in self.forms(wide_bid_instances(12, seed=67)):
-            coupling = form.expand
-            n_p = coupling.n_p
-            for g in np.flatnonzero(coupling.high):
-                top = coupling.p_at[g, 0]  # highest bid: fewest supported reserves
-                below = coupling.p_limit[top]  # reserve ranks at or above its bid
-                if below == coupling.u_count[g]:
-                    continue  # every reserve of the group supports it
-                v = np.zeros(n_p + coupling.n_u)
-                v[top] = 1.0
-                v[n_p + coupling.u_at[g, below]] = 1.0  # the highest reserve below the bid
-                coupled = coupling.couple(v)
-                assert coupled.sum() == 1.0
-                (col,) = np.flatnonzero(coupled)
-                assert coupling.w_p[col] == top
-                assert coupling.w_u[col] == coupling.u_at[g, below - 1]
-                checked += 1
-        assert checked > 0
-
-    def test_hall_rows_cut_off_uncoupled_marginals(self):
-        """Without either Hall family the optimum stays: coupling each regime's
-        marginals anywhere earns max(b_s, V_r) per unit, at least what they
-        were credited.  What the rows cut off are marginals that no w on the
-        regime's support has: maximising a family's total violation over the
-        other rows is positive on some instance, and the coupling of that
-        point then misses its reserve marginals."""
-        cases = symmetric_instances(20, seed=61) + wide_bid_instances(12, seed=67)
-        cut = {"L": 0, "H": 0}
-        for instance, quotient, form in self.forms(cases):
-            lp, kept, coupling = form.lp, quotient.lp.A_le.shape[0], form.expand
-            optimum = solve_lp(instance).objective
-            # an H row has +1 on supporter marginals, an L row -1 or none
-            high = np.asarray((lp.A_le[kept:, :coupling.n_p] > 0).sum(axis=1)).ravel() > 0
-            for family, dropped in (("L", ~high), ("H", high)):
-                rows = np.r_[np.ones(kept, dtype=bool), ~dropped]
-
-                def relaxed(c, rows=rows):
-                    return lp_solver.solve(lp_solver.StandardLp(
-                        c=c, A_eq=lp.A_eq, b_eq=lp.b_eq, A_le=lp.A_le[rows], b_le=lp.b_le[rows]))
-
-                gap = relaxed(lp.c).objective - optimum
-                assert abs(gap) <= 1e-9 * max(1.0, abs(optimum)), (family, gap)
-                worst = relaxed(np.asarray(lp.A_le[kept:][dropped].sum(axis=0)).ravel())
-                if worst.objective > 1e-6:
-                    u = worst.x[coupling.n_p:coupling.n_p + coupling.n_u]
-                    coupled_u = np.bincount(coupling.w_u, coupling.couple(worst.x), coupling.n_u)
-                    assert np.abs(coupled_u - u).max() > 1e-9
-                    cut[family] += 1
-        assert min(cut.values()) > 0, cut
+                assert coupled.min() >= 0
+                for key, marginal, sums in ((supporter, v[:n_p], p_sum),
+                                            (reserve, v[n_p:], u_sum)):
+                    assert np.abs(np.bincount(key, coupled)
+                                  - np.bincount(sums, marginal, key.max() + 1)).max() <= 1e-12
+                earned = quotient.lp.c[:len(supporter)] @ coupled
+                credited = form.lp.c[:n_p + n_u] @ v
+                assert earned >= credited - 1e-12 * max(1.0, credited)
+                gains.append(earned - credited)
+        assert max(gains) > 1e-3
 
     def test_worst_case_marginal_size_is_constant(self):
         sizes = []
@@ -528,7 +476,7 @@ class TestMarginalForm:
             instance = build_lp(ds, grid_of(ds))
             lp = marginal_form(instance, symmetry_quotient(instance)).lp
             sizes.append((len(lp.c), lp.A_eq.shape[0] + lp.A_le.shape[0]))
-        assert sizes == [(126, 125)] * 3
+        assert sizes == [(126, 116)] * 3
         solution = solve_lp(instance)  # k = 80, checked on the full rows
         assert solution.max_violation <= 1e-7
         assert solution.objective == float(instance.c @ solution.vector)
@@ -557,18 +505,18 @@ class TestMarginalForm:
         the full-row check alone accepts or rejects the point."""
         ds = bad_example(BadExampleSpec(k=4))
         instance = build_lp(ds, grid_of(ds))
-        coupling = marginal_form(instance, symmetry_quotient(instance)).expand
-        p_high = coupling.high[coupling.p_group]
+        quotient = symmetry_quotient(instance)
+        coupling = marginal_form(instance, quotient).expand
         real, seen = lp_solver.linprog, {}
 
         def perturbed(*args, **kwargs):
             res = real(*args, **kwargs)
-            # a high-regime supporter marginal at 0: no reserve of its block
-            # takes the extra mass, so its slice is sent to a supported one
-            j = int(np.flatnonzero(p_high & (res.x[:coupling.n_p] == 0))[0])
+            # a supporter marginal at 0: no reserve of its group takes the
+            # extra mass, so its slice goes to the group's lowest reserve
+            j = int(np.flatnonzero(res.x[:coupling.n_p] == 0)[0])
             res.x = res.x.copy()
             res.x[j] += 1e-9
-            seen.update(j=j, x=res.x)
+            seen.update(x=res.x)
             return res
 
         monkeypatch.setattr(lp_solver, "linprog", perturbed)
@@ -576,9 +524,10 @@ class TestMarginalForm:
         violation = lp_solver.feasibility_violation(instance.to_standard_lp(),
                                                     coupling @ seen["x"])
         assert solution.max_violation == violation and 0 < violation <= 1e-7
-        coupled = coupling.couple(seen["x"])
-        assert np.bincount(coupling.w_p, coupled, coupling.n_p)[seen["j"]] == pytest.approx(
-            1e-9, abs=1e-15)
+        supporter = block_columns(instance, quotient)[0]
+        p_sum = marginal_sums(coupling, supporter)[:coupling.n_p]
+        assert np.abs(np.bincount(supporter, coupling.couple(seen["x"]))
+                      - np.bincount(p_sum, seen["x"][:coupling.n_p])).max() <= 1e-15
         with pytest.raises(LpSolveError, match="violates constraints"):
             solve_lp(instance, tol_feas=violation / 2)
 

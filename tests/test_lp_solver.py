@@ -9,13 +9,10 @@ import scipy.sparse as sp
 from evcg_reserves import lp_solver
 from evcg_reserves.errors import LpSolveError
 from evcg_reserves.lp_solver import (
-    SolveMethod,
     StandardLp,
     feasibility_violation,
     solve,
 )
-
-METHODS = (SolveMethod.DUAL_SIMPLEX, SolveMethod.INTERIOR_POINT)
 
 
 def test_single_variable_box():
@@ -36,9 +33,8 @@ def test_equality_constrained():
 
 def test_unbounded():
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[-1.0]]), b_le=np.array([1.0]))
-    for method in METHODS:
-        with pytest.raises(LpSolveError, match="status 3: The problem is unbounded"):
-            solve(lp, method=method)
+    with pytest.raises(LpSolveError, match="status 3: The problem is unbounded"):
+        solve(lp)
 
 
 def test_infeasible():
@@ -46,9 +42,8 @@ def test_infeasible():
         c=np.array([1.0]),
         A_le=sp.csr_matrix([[1.0]]), b_le=np.array([-1.0]),
     )
-    for method in METHODS:
-        with pytest.raises(LpSolveError, match="status 2: The problem is infeasible"):
-            solve(lp, method=method)
+    with pytest.raises(LpSolveError, match="status 2: The problem is infeasible"):
+        solve(lp)
 
 
 def test_dimension_mismatch_rejected():
@@ -142,6 +137,20 @@ def test_quotient_checked_on_full_rows():
     # without the 1 / |O| spread each member gets the total: x = (2, 2)
     with pytest.raises(LpSolveError, match="violates constraints by 2.50e-01"):
         solve(lp, quotient=lp_solver.Quotient(quotient, spread * 2))
+
+
+def test_tol_feas_must_be_finite_and_nonnegative():
+    """``violation > nan`` is always False, so a NaN or infinite tol_feas
+    would accept a point breaking a row by 0.25."""
+    lp = StandardLp(c=np.array([1.0, 1.0]), A_le=sp.identity(2, format="csr"),
+                    b_le=np.array([1.0, 1.0]))
+    quotient = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[0.5]]), b_le=np.array([1.0]))
+    doubled = lp_solver.Quotient(quotient, sp.csr_matrix([[1.0], [1.0]]))
+    for tol_feas in (np.nan, np.inf, -np.inf, -1e-9):
+        with pytest.raises(ValueError, match="tol_feas must be a finite number >= 0"):
+            solve(lp, tol_feas=tol_feas, quotient=doubled)
+    with pytest.raises(LpSolveError, match="violates constraints by 2.50e-01"):
+        solve(lp, tol_feas=0.2, quotient=doubled)
 
 
 def test_deterministic_repeat():
