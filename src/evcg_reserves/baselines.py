@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import auction
 from .auction import (
     AuctionColumn,
     BidDataset,
@@ -31,7 +32,6 @@ from .errors import SizeGuardError
 from .lp_model import LpPoint, SubProfile, make_subprofile
 
 DEFAULT_BRUTE_CAP = 10_000_000
-_CHUNK = 2**18  # entries per slab of an auction's class product
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,15 @@ def _class_revenues(evaluator, auction_index: int, reps: list[np.ndarray], dtype
     Each real buyer's representatives lie along the buyer's own axis and
     auxiliary reserves are 0, so the evaluator's arrays span only the axes of
     the buyers it has visited.  The product is evaluated in slabs of at most
-    ``_CHUNK`` entries: the leading axes before ``split`` are fixed to one
-    class each, axis ``split`` is cut into ranges, the axes after it are whole.
+    :data:`auction.CHUNK` entries: the leading axes before ``split`` are fixed
+    to one class each, axis ``split`` is cut into ranges, the axes after it
+    are whole.
     """
     shape = tuple(len(r) for r in reps)
     split = 0
-    while math.prod(shape[split + 1:]) > _CHUNK:
+    while math.prod(shape[split + 1:]) > auction.CHUNK:
         split += 1
-    step = _CHUNK // math.prod(shape[split + 1:])
+    step = auction.CHUNK // math.prod(shape[split + 1:])
     # buyer b's representatives along axis b - split of a slab
     axes = [r.reshape((-1,) + (1,) * (len(shape) - 1 - b)) for b, r in enumerate(reps)]
     aux = [0] * (evaluator.k + 1)
@@ -214,8 +215,8 @@ def brute_force_opt(
     # no entry exceeds the evaluator's bound: the narrowest type holding it is exact
     dtype = object if evaluator.dtype is object else np.min_scalar_type(evaluator.bound)
     tensor = np.zeros(tuple(len(c) for c in cands), dtype=dtype)
-    for a, auction in enumerate(dataset.auctions):
-        classes = _reserve_classes(cands, auction.bids)
+    for a, column in enumerate(dataset.auctions):
+        classes = _reserve_classes(cands, column.bids)
         reps = [v[: cls[-1] + 1] for v, cls in zip(values, classes)]
         revs = _class_revenues(evaluator, a, reps, dtype)
         last = len(reps[0]) - 1

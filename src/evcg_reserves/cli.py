@@ -375,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="items (bad-example)")
     p.add_argument("--delta", type=float, default=0.025)
     p.add_argument("--fractional-out", help="also write the hand-crafted fractional point")
-    p.add_argument("--buyers", type=int, default=3)
+    p.add_argument("--buyers", type=_at_least(int, 1), default=3)
     p.add_argument("--auctions", type=int, default=3)
     p.add_argument("--items", type=int, default=1)
-    p.add_argument("--max-bid", type=int, default=9)
-    p.add_argument("--max-weight", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--max-bid", type=_at_least(int, 0), default=9)
+    p.add_argument("--max-weight", type=_at_least(int, 1), default=1)
+    p.add_argument("--noise", type=_at_least(float, 0), default=0.0)
     p.add_argument("--scale", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default: stdout)")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evcg_reserves import auction
@@ -21,7 +21,7 @@ from evcg_reserves.auction import (
 from evcg_reserves.baselines import BadExampleSpec, bad_example
 from evcg_reserves.lp_model import encode_reserves
 
-from .conftest import desk_instances, make_dataset, naive_outcome, naive_revenue
+from .conftest import desk_instances, grid_of, make_dataset, naive_outcome, naive_revenue
 
 
 class TestAugmentation:
@@ -207,19 +207,59 @@ def test_evaluator_built_once_per_dataset(monkeypatch):
     assert len(built) == 2
 
 
+def check_row_kernel(ds, rows):
+    """Every row-kernel entry point of the evaluator against the naive oracle."""
+    ev = batch_evaluator(ds)
+    mat = np.concatenate([ev.row(r) for r in rows])
+    assert [int(v) for v in ev.revenues(mat)] == [naive_revenue(ds, r) for r in rows]
+    top = max(max(a.bids) for a in ds.auctions)
+    for a in range(ds.num_auctions):
+        naive = [naive_outcome(ds.auctions[a].bids, r, ds.num_items) for r in rows]
+        for tau in (1, 3, 7, max(top, 1)):
+            assert ev.winners_above(a, mat, tau).tolist() == [
+                sum(p >= tau for p in payments.values()) for _, _, payments, _ in naive]
+        for r, expected in zip(rows, naive):
+            out = ev.outcome(a, r)
+            assert (sorted(out.winners), out.supporter, out.payments, out.revenue) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(instance_and_reserves())
+@example((make_dataset(2, [(1, (5, 5, 0)), (3, (0, 4, 4))]), (5, 4, 0, 0, 0, 0)))  # ties, 0 bids
+@example((make_dataset(2, [(2, (7, 0))]), (8, 0, 0, 0, 0)))  # k >= real buyers
 def test_batch_evaluator_matches_naive(case):
     ds, reserves = case
+    check_row_kernel(ds, [reserves, zero_reserves(ds)])
+
+
+def test_row_slabs_stay_within_chunk(monkeypatch):
+    """The row kernel cuts a matrix into slabs of whole rows, each within
+    ``auction.CHUNK`` entries (rows x auctions x buyers) unless a single row
+    is larger, and the answers do not depend on the cut."""
+    slabs = []
+    kernel = auction._BatchEvaluator._row_slabs
+
+    def recording(self, reserve_matrix, auctions):
+        for slab in kernel(self, reserve_matrix, auctions):
+            slabs.append(slab[1].shape)
+            yield slab
+
+    monkeypatch.setattr(auction._BatchEvaluator, "_row_slabs", recording)
+    ds = make_dataset(2, [(1, (5, 5, 0)), (3, (0, 4, 4)), (2, (9, 1, 4))])  # 3 x 6 a row
+    rng = np.random.Generator(np.random.Philox(11))
+    rows = [tuple(int(v) for v in rng.choice(grid_of(ds).values, 3)) + (0,) * 3
+            for _ in range(10)]
     ev = batch_evaluator(ds)
-    mat = np.array([reserves, zero_reserves(ds)], dtype=np.int64)
-    assert [int(v) for v in ev.revenues(mat)] == [
-        naive_revenue(ds, reserves), naive_revenue(ds, zero_reserves(ds))]
-    for a in range(ds.num_auctions):
-        payments = naive_outcome(ds.auctions[a].bids, reserves, ds.num_items)[2]
-        for tau in (1, 3, 7):
-            assert int(ev.winners_above(a, mat, tau)[0]) == sum(
-                p >= tau for p in payments.values())
+    mat = np.array(rows, dtype=np.int64)
+    expected = [naive_revenue(ds, r) for r in rows]
+    counts = ev.winners_above(1, mat, 4).tolist()
+    for chunk, cut in ((1, [1] * 10), (7, [1] * 10), (3 * 18 + 5, [3, 3, 3, 1])):
+        monkeypatch.setattr(auction, "CHUNK", chunk)
+        slabs.clear()
+        assert ev.revenues(mat).tolist() == expected
+        assert slabs == [(n, 3, 6) for n in cut]
+        assert ev.winners_above(1, mat, 4).tolist() == counts
+    assert ev.revenues(np.empty((0, ds.num_buyers), dtype=np.int64)).shape == (0,)
 
 
 @st.composite
@@ -250,16 +290,12 @@ def test_exact_on_both_sides_of_int64(case):
     ev = batch_evaluator(ds)
     top = max(max(a.bids) for a in ds.auctions)
     assert ev.dtype is (np.int64 if max(bound, top + 1) < 2**63 else object)
-    exact = naive_revenue(ds, reserves)
-    assert int(ev.revenues(ev.row(reserves))[0]) == revenue(ds, reserves) == exact
+    assert revenue(ds, reserves) == naive_revenue(ds, reserves)
+    check_row_kernel(ds, [reserves, zero_reserves(ds)])
     for a in range(ds.num_auctions):
-        winners, supporter, payments, rev = naive_outcome(
-            ds.auctions[a].bids, reserves, ds.num_items)
-        out = run_evcg(ds, a, reserves)
-        assert (sorted(out.winners), out.supporter, out.payments, out.revenue) == (
-            winners, supporter, payments, rev)
-        assert int(ev.winners_above(a, ev.row(reserves), top)[0]) == winners_above(
-            ds, a, reserves, top) == sum(p >= top for p in payments.values())
+        payments = naive_outcome(ds.auctions[a].bids, reserves, ds.num_items)[2]
+        assert run_evcg(ds, a, reserves).payments == payments
+        assert winners_above(ds, a, reserves, top) == sum(p >= top for p in payments.values())
 
 
 class TestBatchOverflow:

@@ -140,7 +140,7 @@ class TestBruteForce:
     def test_chunk_size_does_not_matter(self, monkeypatch, int64_overflow):
         cases = oracle_instances()[-10:] + [int64_overflow]
         expected = [brute_force_opt(ds, grid_of(ds)) for ds in cases]
-        monkeypatch.setattr(baselines, "_CHUNK", 7)
+        monkeypatch.setattr(auction, "CHUNK", 7)
         assert [brute_force_opt(ds, grid_of(ds)) for ds in cases] == expected
 
     def test_matches_naive_oracle(self):
@@ -159,7 +159,7 @@ class TestBruteForce:
         assert checked == 51
 
     def test_slabs_stay_within_chunk(self, monkeypatch):
-        """The evaluator never receives more than ``_CHUNK`` entries from
+        """The evaluator never receives more than ``auction.CHUNK`` entries from
         brute force, counted over the broadcast of all its reserve arrays."""
         received = []
         kernel = auction._BatchEvaluator.auction_revenues
@@ -171,10 +171,10 @@ class TestBruteForce:
         monkeypatch.setattr(auction._BatchEvaluator, "auction_revenues", recording)
         # the largest class product here is 324,000 entries, past the default chunk
         largest = add_auxiliary_buyers(random_dataset(6, 40, 2, 0, max_bid=9, max_weight=5))
-        cases = [(largest, baselines._CHUNK)] + [
+        cases = [(largest, auction.CHUNK)] + [
             (ds, chunk) for ds in oracle_instances()[:20] for chunk in (1, 7, 60)]
         for ds, chunk in cases:
-            monkeypatch.setattr(baselines, "_CHUNK", chunk)
+            monkeypatch.setattr(auction, "CHUNK", chunk)
             received.clear()
             brute_force_opt(ds, grid_of(ds))
             assert max(received) <= chunk

@@ -265,12 +265,21 @@ class TestExitCodes:
         ("--tol-feas", "nan"),
         ("--tol-feas", "inf"),
         ("--tol-feas", "-0.5"),
+        ("--buyers", "0"),
+        ("--max-bid", "-1"),
+        ("--max-weight", "0"),
+        ("--noise", "-1"),
+        ("--noise", "nan"),
+        ("--noise", "inf"),
     ])
     def test_out_of_range_number_rejected(self, dataset_file, tmp_path, capsys, flag, value):
-        """Refused while parsing, before the dataset is read or a report written."""
+        """Refused while parsing, before the dataset is read or a file written."""
         out = tmp_path / "bench.json"
+        gen_flags = ("--buyers", "--max-bid", "--max-weight", "--noise")
+        command = (["gen", "correlated"] if flag in gen_flags
+                   else ["bench", "--dataset", dataset_file])
         with pytest.raises(SystemExit) as exited:
-            run(["bench", "--dataset", dataset_file, flag, value, "--out", str(out)])
+            run(command + [flag, value, "--out", str(out)])
         assert exited.value.code == cli.EXIT_VALIDATION
         assert f"argument {flag}: {value!r} is not a finite number >=" in capsys.readouterr().err
         assert not out.exists()
