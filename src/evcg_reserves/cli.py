@@ -55,11 +55,13 @@ def _solve(args, augmented, grid):
 
 
 def _lp_section(instance, solution) -> dict:
+    counts = instance.constraint_counts
     return {
         "objective": solution.objective,
         "variables": instance.num_vars,
-        "equality_rows": int(instance.A_eq.shape[0]),
-        "inequality_rows": int(instance.A_le.shape[0]),
+        "equality_rows": counts["supporter_link"] + counts["one_reserve_each"],
+        "inequality_rows": (counts["reserve_consistency"] + counts["compatibility"]
+                            + counts["per_auction_cap"]),
         "iterations": solution.iterations,
         "max_violation": solution.max_violation,
     }

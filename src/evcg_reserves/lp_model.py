@@ -18,25 +18,25 @@ does not change.
 Buyers with the same bid in every auction and the same free/fixed status are
 interchangeable: permuting them maps the LP onto itself.  Averaging any
 optimum over that group gives an optimum in the group's fixed subspace, where
-the columns of one orbit are equal and the rows of one orbit coincide, so
-:func:`solve_lp` solves :func:`symmetry_quotient`, one variable per column
-orbit and one row per row orbit, and expands its optimum back.  The quotient
-keeps only the columns at each buyer's candidate reserves, where an optimum
-always lies.  The worst-case family ``bad_example(k)`` has four buyer orbits
-whatever k, so its quotient has 113 columns where the assembled LP has 11,541
-at k = 20.
-
-Every row reads a winner's (supporter x reserve) block of w columns through
-one of its two marginals, so HiGHS solves the quotient's
-:func:`marginal_form`, by dual simplex: the marginals and a balance row per
-block and regime, 13,977 columns where the quotient of the 15 x 30 benchmark
-instance has 28,392.  :class:`Coupling` turns its optimum back into w.
+the columns of one orbit are equal and the rows of one orbit coincide; an
+optimum also lies on each buyer's candidate reserves.  Every row then reads a
+winner orbit's (supporter x reserve) block of w columns through one of its two
+marginals.  So :func:`solve_lp` has HiGHS solve :func:`reduced_lp`, by dual
+simplex: per block and regime the two marginals and a balance row, over one
+variable per orbit of the other columns and one row per orbit of rows,
+emitted from the buyer orbits without assembling the full rows.  The
+worst-case family ``bad_example(k)`` has four buyer orbits whatever k, so
+HiGHS solves 126 columns where the assembled LP has 11,541 at k = 20, and
+13,977 columns of the 15 x 30 benchmark instance's 34,361.  :class:`Coupling`
+turns the optimum back into w and spreads it over the full columns, where
+:func:`lp_solver.solve` checks it against every full row.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -166,15 +166,15 @@ class LpInstance:
 
     Columns are addressed through the index arrays alone.  The w columns
     are sorted by (auction, winner, supporter, r1), so each auction's and
-    each pair's columns are contiguous; r indices are grid indices.
+    each pair's columns are contiguous; r indices are grid indices.  The
+    rows are read from the same arrays (:meth:`row_sums`); the CSR matrices
+    ``A_eq`` and ``A_le`` are assembled only when first asked for.
     """
 
     dataset: BidDataset
     grid: ReserveGrid
     c: np.ndarray
-    A_eq: sp.csr_matrix
     b_eq: np.ndarray
-    A_le: sp.csr_matrix
     b_le: np.ndarray
     constraint_counts: dict[str, int]
     # per w column: auction, winner, supporter, r1 index, exact (int64) revenue
@@ -191,6 +191,71 @@ class LpInstance:
     @property
     def num_vars(self) -> int:
         return len(self.c)
+
+    # -- rows ----------------------------------------------------------------
+    def _row_parts(self) -> tuple[list, list]:
+        """(rows, columns, coefficient) triples of the equality and the inequality rows.
+
+        Columns are an index array or a slice.  Concatenated, each row's
+        entries come in column order (w, then x, then y'), the order in which
+        a CSR product sums them.
+        """
+        n, A, k = self.dataset.num_buyers, self.dataset.num_auctions, self.dataset.num_items
+        num_w, num_vars = len(self.w_auction), self.num_vars
+        w = slice(0, num_w)
+        pa, pw, ps = np.nonzero(self.w_first >= 0)  # the (winner, supporter) pairs
+        w_pair = np.repeat(np.arange(len(pa)), self.n_le[pa, pw])
+        n_le = self.n_le.ravel()
+        yp_ab = np.repeat(np.arange(A * n), n_le)
+        yp_offset = num_vars - len(yp_ab)
+        yp_x = self.x_cols[yp_ab % n, _ranges(n_le)]
+        has_x = yp_x >= 0
+        num_free = (yp_offset - num_w) // len(self.grid)
+        sup_pair = np.repeat(np.arange(len(pa)), self.n_le[pa, ps])
+        sup_cols = self.yp_first[pa, ps][sup_pair] + _ranges(self.n_le[pa, ps])
+        row4, row5 = len(yp_ab), len(yp_ab) + len(pa)
+        eq = [  # (2') supporter link, (6) one reserve each
+            ((pa * n + ps)[w_pair], w, -1.0),
+            (yp_ab, slice(yp_offset, num_vars), float(k)),
+            (A * n + np.repeat(np.arange(num_free), len(self.grid)), slice(num_w, yp_offset), 1.0),
+        ]
+        le = [  # (3) reserve consistency, (4) compatibility, (5) at most k sub-profiles
+            ((self.yp_first[pa, pw] - yp_offset)[w_pair] + self.w_r1, w, 1.0),
+            (np.flatnonzero(has_x), yp_x[has_x], -1.0),
+            (np.arange(len(yp_ab)), slice(yp_offset, num_vars), 1.0),
+            (row4 + w_pair, w, 1.0),
+            (row4 + sup_pair, sup_cols, -1.0),
+            (row5 + self.w_auction, w, 1.0),
+        ]
+        return eq, le
+
+    @cached_property
+    def _matrices(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        eq, le = self._row_parts()
+        return (_csr(eq, (len(self.b_eq), self.num_vars)),
+                _csr(le, (len(self.b_le), self.num_vars)))
+
+    @property
+    def A_eq(self) -> sp.csr_matrix:
+        return self._matrices[0]
+
+    @property
+    def A_le(self) -> sp.csr_matrix:
+        return self._matrices[1]
+
+    def row_sums(self, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(A @ vec, |A| @ |vec|)`` for ``A_eq`` and ``A_le``, without assembling them.
+
+        Each row's terms are added one by one in column order from 0, as the
+        CSR product adds them, so the sums are the same floats.
+        """
+        vec = np.asarray(vec, dtype=float)
+        out = []
+        for parts, size in zip(self._row_parts(), (len(self.b_eq), len(self.b_le))):
+            rows = np.concatenate([r for r, _, _ in parts])
+            terms = np.concatenate([coef * vec[cols] for _, cols, coef in parts])
+            out.append((np.bincount(rows, terms, size), np.bincount(rows, np.abs(terms), size)))
+        return tuple(out)
 
     # -- variable addressing -------------------------------------------------
     def w_cols(self, auction: int) -> slice:
@@ -215,7 +280,7 @@ class LpInstance:
         )
 
     def violation(self, vec: np.ndarray) -> float:
-        return lp_solver.feasibility_violation(self.to_standard_lp(), vec)
+        return lp_solver.feasibility_violation(self, vec)
 
     # -- structured points ---------------------------------------------------
     def _project(self, auction: int, p: SubProfile) -> tuple[int, int]:
@@ -334,14 +399,18 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray | float]],
+def _csr(parts: list[tuple[np.ndarray, np.ndarray | slice, np.ndarray | float]],
          shape: tuple[int, int]) -> sp.csr_matrix:
-    """Sparse matrix from (rows, columns, values) triples."""
+    """Sparse matrix from (rows, columns, values) triples, each row's entries in
+    the order the triples give them; columns may be a slice."""
     rows = np.concatenate([r for r, _, _ in parts])
-    cols = np.concatenate([c for _, c, _ in parts])
+    order = np.argsort(rows, kind="stable")
+    index = np.arange(shape[1])
+    cols = np.concatenate([index[c] for _, c, _ in parts])[order]
     data = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), r.shape)
-                           for r, _, v in parts])
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+                           for r, _, v in parts])[order]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=shape[0]))]
+    return sp.csr_matrix((data, cols, indptr), shape=shape)
 
 
 def build_lp(
@@ -356,7 +425,8 @@ def build_lp(
     w columns this function allocates; the message names the first auction
     past the budget and what was left of it.  Every free buyer gets an x
     column at every grid value; the solve drops the non-candidate ones
-    (:func:`symmetry_quotient`).  A dataset with an objective coefficient
+    (:func:`reduced_lp`).  No row is assembled here (see
+    :class:`LpInstance`).  A dataset with an objective coefficient
     (weight x bid) past 2^53, where float64 stops being exact, is refused
     with :class:`SizeGuardError`.
     """
@@ -407,54 +477,28 @@ def build_lp(
     free_buyers = [b for b in range(dataset.num_real_buyers) if dataset.max_bid(b) > 0]
     x_cols = np.full((n, R), -1, dtype=np.int64)  # (buyer, r index) -> x column
     x_cols[free_buyers] = num_w + np.arange(len(free_buyers) * R).reshape(-1, R)
-    x_rows = A * n + np.repeat(np.arange(len(free_buyers)), R)  # the (6) row of each x column
-    yp_offset = num_w + len(x_rows)
+    yp_offset = num_w + len(free_buyers) * R
 
     # y' columns: one per (auction, buyer) and reserve below the buyer's bid
     yp_base = (np.cumsum(n_le) - n_le.ravel()).reshape(A, n)
     num_yp = int(n_le.sum())
-    yp_ab = np.repeat(np.arange(A * n), n_le.ravel())
-    yp_b, yp_r = yp_ab % n, _ranges(n_le.ravel())
-    yp_cols = yp_offset + np.arange(num_yp)
-    num_vars = yp_offset + num_yp
 
     weights = np.array([float(a.weight) for a in dataset.auctions])
     revenue_rank = np.maximum(bid_rank[col_a, col_s], value_rank[col_r1])
     # every revenue is at most the top bid, which is at most 2^53
     w_revenue = np.array(levels[: bid_rank.max() + 1], dtype=np.int64)[revenue_rank]
-    c = np.zeros(num_vars)
+    c = np.zeros(yp_offset + num_yp)
     c[:num_w] = weights[col_a] * w_revenue
 
-    w_cols = np.arange(num_w)
-    # (2') supporter link, then (6) one reserve per free buyer
-    A_eq = _csr([
-        (yp_ab, yp_cols, k),
-        (col_a * n + col_s, w_cols, -1.0),
-        (x_rows, np.arange(num_w, yp_offset), 1.0),
-    ], (A * n + len(free_buyers), num_vars))
-    b_eq = np.concatenate([np.zeros(A * n), np.ones(len(free_buyers))])
-
-    # (3) reserve consistency, one row per y' column
-    yp_x = x_cols[yp_b, yp_r]
-    has_x = yp_x >= 0
+    # right-hand sides: (2'), (6); (3), with a fixed buyer's x the constant 1, (4), (5)
     fixed = np.ones(n, dtype=bool)
     fixed[free_buyers] = False
-    # (4) compatibility, one row per pair: the supporter's y' entries
-    sup_pair = np.repeat(np.arange(len(pa)), n_le[pa, ps])
-    sup_cols = yp_offset + yp_base[pa[sup_pair], ps[sup_pair]] + _ranges(n_le[pa, ps])
-    row4, row5 = num_yp, num_yp + len(pa)
-    A_le = _csr([
-        (yp_base[col_a, col_w] + col_r1, w_cols, 1.0),
-        (np.arange(num_yp), yp_cols, 1.0),
-        (np.flatnonzero(has_x), yp_x[has_x], -1.0),
-        (row4 + col_pair, w_cols, 1.0),
-        (row4 + sup_pair, sup_cols, -1.0),
-        (row5 + col_a, w_cols, 1.0),  # (5) at most k sub-profiles happen
-    ], (row5 + A, num_vars))
-    b_le = np.concatenate([fixed[yp_b].astype(float), np.zeros(len(pa)), np.full(A, float(k))])
+    b_eq = np.concatenate([np.zeros(A * n), np.ones(len(free_buyers))])
+    b_le = np.concatenate([np.repeat(np.tile(fixed, A), n_le.ravel()).astype(float),
+                           np.zeros(len(pa)), np.full(A, float(k))])
 
     return LpInstance(
-        dataset=dataset, grid=grid, c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le,
+        dataset=dataset, grid=grid, c=c, b_eq=b_eq, b_le=b_le,
         constraint_counts={
             "supporter_link": A * n,
             "one_reserve_each": len(free_buyers),
@@ -523,70 +567,6 @@ def buyer_orbits(instance: LpInstance) -> np.ndarray:
     return _orbits(np.column_stack([bids.T, free]))[0]
 
 
-def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
-    """The instance's LP over buyer-orbit totals, and its expansion.
-
-    Permuting buyers inside their orbits (:func:`buyer_orbits`) maps columns
-    to columns and rows to rows with the same coefficients, objective and
-    right-hand sides, so it is an automorphism of the LP.  The average of an
-    optimum over that group is an optimum fixed by it, whose columns are
-    equal within each column orbit: (a, O(b1), O(b2), r1) for w, (O(b), r)
-    for x, (a, O(b), r) for y'.  Rows of one row orbit, (2') (a, O),
-    (6) O, (3) as y', (4) (a, O1, O2), (5) a, are then the same row, and
-    one representative each is kept.  The quotient variable of an orbit is
-    its total mass, spread evenly on expansion: ``v = P D u`` with P the
-    orbit indicator and D = diag(1 / |O|), so the quotient reads
-    ``A[reps] P D`` and ``(P D)^T c``, and its optimum equals the full one.
-
-    Only columns at a buyer's candidate reserve (:func:`candidate_mask`)
-    are kept: x[b,r], w by the winner's r1 and y'[a,b,r].  Moving all of a
-    buyer's mass from a reserve r to its next candidate r+ (its top one when
-    r is above all its bids) keeps every column valid, leaves (2'), (4),
-    (5) and (6) as they were, adds as much to the left of (3) at r+ as to
-    its right, and never lowers max(bid[b2], r1).  Orbit-mates share bids,
-    so whole orbits go; a dropped column is an empty row of P, so it
-    expands to 0, and a row left without columns reads 0 <= 0.
-    """
-    ds = instance.dataset
-    orbit = buyer_orbits(instance)
-    m, R, n = int(orbit.max()) + 1, len(instance.grid), ds.num_buyers
-    n_le = instance.n_le.ravel()
-    yp_ab = np.repeat(np.arange(len(n_le)), n_le)
-    yp_b, yp_r = yp_ab % n, _ranges(n_le)
-    yp_key = (yp_ab // n * m + orbit[yp_b]) * R + yp_r
-    xb, xr = np.nonzero(instance.x_cols >= 0)
-    candidate = candidate_mask(ds, instance.grid)
-    families = [  # (orbit key, kept) of the w, x and y' columns
-        (((instance.w_auction * m + orbit[instance.w_winner]) * m
-          + orbit[instance.w_supporter]) * R + instance.w_r1,
-         candidate[instance.w_winner, instance.w_r1]),
-        (orbit[xb] * R + xr, candidate[xb, xr]),
-        (yp_key, candidate[yp_b, yp_r]),
-    ]
-    cols, _ = _orbits(*(key[kept] for key, kept in families))
-    kept = np.concatenate([kept for _, kept in families])
-    ab = np.arange(ds.num_auctions * n)
-    _, eq_rows = _orbits(ab // n * m + orbit[ab % n], orbit[np.unique(xb)])
-    pa, pw, ps = np.nonzero(instance.w_first >= 0)
-    _, le_rows = _orbits(yp_key, (pa * m + orbit[pw]) * m + orbit[ps],
-                         np.arange(ds.num_auctions))
-    size = np.bincount(cols)
-    orbit_sum = sp.csr_matrix((np.ones(len(cols)), cols, np.r_[0, np.cumsum(kept)]),
-                              shape=(len(kept), len(size)))  # P
-    spread = sp.diags(1.0 / size)  # D
-    # sum each orbit's coefficients, then divide once: integer sums stay exact
-    return lp_solver.Quotient(
-        lp=lp_solver.StandardLp(
-            c=(orbit_sum.T @ instance.c) / size,
-            A_eq=(instance.A_eq[eq_rows] @ orbit_sum @ spread).tocsr(),
-            b_eq=instance.b_eq[eq_rows],
-            A_le=(instance.A_le[le_rows] @ orbit_sum @ spread).tocsr(),
-            b_le=instance.b_le[le_rows],
-        ),
-        expand=(orbit_sum @ spread).tocsr(),
-    )
-
-
 def _rank_within(group: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Rank of every member within its group, by ``key`` ascending (ties by position)."""
     order = np.lexsort((key, group))
@@ -595,27 +575,8 @@ def _rank_within(group: np.ndarray, key: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _reads_totals(row: np.ndarray, col: np.ndarray, group: np.ndarray,
-                  num_rows: int) -> np.ndarray:
-    """Rows that read every column of each group they read any column of.
-
-    ``row`` and ``col`` are a pattern's entries ordered by row; ``group`` is
-    the group of every column.
-    """
-    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=num_rows))]
-    size = np.bincount(group)
-    counts = sp.csr_matrix((np.ones(len(col)), group[col], indptr),
-                           shape=(num_rows, len(size)))
-    counts.sum_duplicates()  # one entry per (row, group): how many columns it reads
-    partial = np.repeat(np.arange(num_rows), np.diff(counts.indptr))[
-        counts.data != size[counts.indices]]
-    out = np.ones(num_rows, dtype=bool)
-    out[partial] = False
-    return out
-
-
 class Coupling:
-    """Expansion of a :func:`marginal_form` point into the full LP: ``coupling @ v``.
+    """Expansion of a :func:`reduced_lp` point into the full LP: ``coupling @ v``.
 
     Per block (auction, winner orbit) and regime, the supporter marginal p
     (supporter orbits by bid, descending) and the reserve marginal u (winner
@@ -670,79 +631,179 @@ class Coupling:
         return self.spread @ np.concatenate([self.couple(v), v[self.n_p + self.n_u:]])
 
 
-def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solver.Quotient:
-    """The quotient with each block's w columns replaced by their two marginals.
+def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
+    """The LP that HiGHS solves, emitted from buyer orbits, and its expansion.
 
-    A block is one auction and winner orbit; its w columns pair every
-    supporter orbit s (bid b_s) with every candidate winner reserve r (value
-    V_r) and earn weight * b_s on L = {V_r <= b_s} and weight * V_r on H =
-    {V_r > b_s}.  Rows (2'), (4) and (5) read a block only through
-    p[s] = sum_r w[s,r], row (3) only through u[r] = sum_s w[s,r]; each row
-    is checked to read every column of such a sum or none.  So per block
-    and regime the columns become p_L, p_H, u_L, u_H, with the objective on
-    p_L and u_H and a balance row sum p = sum u.
+    It is the marginal form of the instance's symmetry quotient, two exact
+    reductions in a row, built without the instance's rows.
 
+    *Symmetry quotient.*  Permuting buyers inside their orbits
+    (:func:`buyer_orbits`) maps columns to columns and rows to rows with the
+    same coefficients, objective and right-hand sides, so it is an
+    automorphism of the LP.  The average of an optimum over that group is an
+    optimum fixed by it, whose columns are equal within each column orbit:
+    (a, O(b1), O(b2), r1) for w, (O(b), r) for x, (a, O(b), r) for y'.  Rows
+    of one row orbit, (2') (a, O), (6) O, (3) as y', (4) (a, O1, O2), (5) a,
+    are then the same row, and one representative each is kept.  The
+    quotient variable of an orbit is its total mass, spread evenly on
+    expansion: ``v = P D u`` with P the orbit indicator and
+    D = diag(1 / |O|), so a representative row's coefficient on an orbit is
+    the number of its members the row reads, times its coefficient, times
+    1 / |O|, and the objective is ``(P D)^T c``.  Only columns at a buyer's
+    candidate reserve (:func:`candidate_mask`) are kept: x[b,r], w by the
+    winner's r1 and y'[a,b,r].  Moving all of a buyer's mass from a reserve r
+    to its next candidate r+ (its top one when r is above all its bids) keeps
+    every column valid, leaves (2'), (4), (5) and (6) as they were, adds as
+    much to the left of (3) at r+ as to its right, and never lowers
+    max(bid[b2], r1).  Orbit-mates share bids, so whole orbits go; a dropped
+    column expands to 0, and a row left without columns reads 0 <= rhs.
+
+    *Marginal form.*  A block is one auction and winner orbit; its quotient
+    w columns pair every supporter orbit s (bid b_s) with every candidate
+    winner reserve r (value V_r) and earn weight * b_s on L = {V_r <= b_s}
+    and weight * V_r on H = {V_r > b_s}.  Rows (2'), (4) and (5) read a
+    block only through p[s] = sum_r w[s,r], row (3) only through
+    u[r] = sum_s w[s,r] (and through p, where it is read, if the block has
+    one reserve).  So per block and regime the columns become p_L, p_H,
+    u_L, u_H, with the objective on p_L and u_H and a balance row
+    sum p = sum u; a row reading a marginal takes the coefficient of its
+    first column.
     The optimum is the quotient's, for any fixed x too.  A w maps to its
     marginals with the same objective.  Conversely the :class:`Coupling` of
     balanced marginals has the same supporter and reserve totals, so it
     meets every row, and each unit of it earns max(b_s, V_r), at least what
-    the marginals credited it.  Columns: p, then u, then the quotient's
-    other columns; rows: the quotient's equalities, the balance rows, the
-    quotient's inequalities.
+    the marginals credited it.
+
+    Columns: p, then u (each numbered by first appearance over the quotient
+    w columns, which run by auction, winner orbit, supporter orbit and r),
+    then x by (orbit, r), then y' by (auction, orbit, r).  Rows: (2') per
+    (auction, orbit), (6) per free orbit, a balance row per block and
+    regime; (3) per (auction, orbit, r) below the orbit's bid, (4) per pair
+    of orbits, (5) per auction.  Orbits, pairs of orbits and rows come in
+    the order of their first member in the instance's columns and rows.
     """
-    lp, spread = quotient.lp, quotient.expand
+    ds, R = instance.dataset, len(instance.grid)
+    A, n, k = ds.num_auctions, ds.num_buyers, ds.num_items
     orbit = buyer_orbits(instance)
-    m, R = int(orbit.max()) + 1, len(instance.grid)
-    member = np.empty(spread.shape[1], dtype=np.int64)  # a full column of each quotient one
-    member[spread.indices] = np.repeat(np.arange(spread.shape[0]), np.diff(spread.indptr))
-    num_w = int(np.count_nonzero(member < len(instance.w_auction)))  # w orbits come first
-    member = member[:num_w]
-    auction, supporter = instance.w_auction[member], instance.w_supporter[member]
-    block = auction * m + orbit[instance.w_winner[member]]
-    r, bid = instance.w_r1[member], instance.n_le[auction, supporter]  # V_r <= b_s iff r < bid
-    high = r >= bid
-    sums_p, sums_u = block * m + orbit[supporter], block * R + r  # what p[s] and u[r] sum
+    first = np.unique(orbit, return_index=True)[1]  # each orbit's first member
+    m, size = len(first), np.bincount(orbit)
+    free = (instance.x_cols[first] >= 0).any(axis=1)
+    n_le = instance.n_le[:, first]  # (auction, orbit) -> grid values clearing the bid
+    candidate = candidate_mask(ds, instance.grid)[first]
+    below = np.hstack([np.zeros((m, 1), dtype=np.int64), np.cumsum(candidate, axis=1)])
+    n_cand = below[np.arange(m), n_le]  # (auction, orbit) -> candidates clearing the bid
+    cand_r = np.argsort(~candidate, axis=1, kind="stable")  # (orbit, i) -> i-th candidate
+
+    # pairs of orbits: a winner orbit's first member and the supporter orbit's
+    # first member (its own second one for the same orbit), the orbit pair's
+    # first member pair, ordered as the instance orders the pairs
+    second = np.full(m, -1)
+    by_orbit = np.argsort(orbit, kind="stable")
+    second[size > 1] = by_orbit[(np.cumsum(size) - size)[size > 1] + 1]
+    partner = np.where(np.eye(m, dtype=bool), second[:, None], first[None, :])
+    has = partner >= 0
+    valid = has & (instance.w_first[:, first[:, None], np.where(has, partner, 0)] >= 0)
+    by_partner = np.argsort(np.where(has, partner, n), axis=1, kind="stable")
+    pa, po1, t = np.nonzero(valid[:, np.arange(m)[:, None], by_partner])
+    po2 = by_partner[po1, t]
+    num_pairs = len(pa)
+    pair_at = np.full((A, m, m), -1)
+    pair_at[pa, po1, po2] = np.arange(num_pairs)
+    pair_size = size[po1] * (size[po2] - (po1 == po2))
+
+    # quotient columns, per family: w (pair, candidate r1), x, y'
+    per_pair = n_cand[pa, po1]
+    pair_start = np.cumsum(per_pair) - per_pair
+    w_pair = np.repeat(np.arange(num_pairs), per_pair)
+    qa, qo1, qo2 = pa[w_pair], po1[w_pair], po2[w_pair]
+    qr = cand_r[qo1, _ranges(per_pair)]
+    num_qw = len(w_pair)
+    num_free, per_free = int(free.sum()), candidate[free].sum(axis=1)
+    x_orbit = np.repeat(np.flatnonzero(free), per_free)
+    num_qx = len(x_orbit)
+    x_start = np.zeros(m, dtype=np.int64)
+    x_start[free] = num_qw + np.cumsum(per_free) - per_free
+    y_ao = np.repeat(np.arange(A * m), n_cand.ravel())
+    y_a, y_o = y_ao // m, y_ao % m
+    y_r = cand_r[y_o, _ranges(n_cand.ravel())]
+    y_start = (num_qw + num_qx + np.cumsum(n_cand) - n_cand.ravel()).reshape(A, m)
+    x_q, y_q = num_qw + np.arange(num_qx), num_qw + num_qx + np.arange(len(y_ao))
+    inv = 1.0 / np.concatenate([pair_size[w_pair], size[x_orbit], size[y_o]])  # D
+
+    # P: the quotient column of every full column (none if dropped), by table lookups
+    ow = orbit[instance.w_winner]
+    xb, xr = np.nonzero(instance.x_cols >= 0)
+    yp_ab = np.repeat(np.arange(A * n), instance.n_le.ravel())
+    yb, yr = orbit[yp_ab % n], _ranges(instance.n_le.ravel())
+    w_label = (pair_start[pair_at[instance.w_auction, ow, orbit[instance.w_supporter]]]
+               + below[ow, instance.w_r1])
+    w_kept = candidate[ow, instance.w_r1]
+    kept = np.concatenate([w_kept, candidate[orbit[xb], xr], candidate[yb, yr]])
+    label = np.concatenate([w_label, x_start[orbit[xb]] + below[orbit[xb], xr],
+                            y_start[yp_ab // n, yb] + below[yb, yr]])[kept]
+    spread = sp.csr_matrix((inv[label], label, np.r_[0, np.cumsum(kept)]),
+                           shape=(instance.num_vars, len(inv)))
+    # sum each orbit's coefficients in column order, then divide once
+    c_w = np.bincount(w_label[w_kept], weights=instance.c[: len(w_kept)][w_kept],
+                      minlength=num_qw) / pair_size[w_pair]
+
+    # marginal columns
+    block = qa * m + qo1
+    bid = n_le[qa, qo2]  # V_r <= b_s iff r < bid
+    high = qr >= bid
+    sums_p, sums_u = block * m + qo2, block * R + qr  # what p[s] and u[r] sum
     w_p, p_first = _orbits(sums_p * 2 + high)
     w_u, u_first = _orbits(sums_u * 2 + high)
     n_p, n_u = len(p_first), len(u_first)
-
     # per p and u column: its block and regime (one group, one balance row), bid or reserve
-    ph, pv, uh, uv = high[p_first], bid[p_first], high[u_first], r[u_first]
+    ph, pv, uh, uv = high[p_first], bid[p_first], high[u_first], qr[u_first]
     group, firsts = _orbits(np.concatenate([block[p_first] * 2 + ph, block[u_first] * 2 + uh]))
     p_group, u_group = group[:n_p], group[n_p:]
-
-    # a row reading a marginal takes the coefficient of the marginal's first column
-    first = np.full((2, num_w), -1)
-    first[0, p_first], first[1, u_first] = np.arange(n_p), n_p + np.arange(n_u)
     p_supporter = _orbits(sums_p[p_first])[0]
-    sums = [p_supporter[w_p], _orbits(sums_u[u_first])[0][w_u]]
-    num_cols = n_p + n_u + len(lp.c) - num_w
+    p_cols, u_cols = np.arange(n_p), n_p + np.arange(n_u)
+    shift = n_p + n_u - num_qw  # from a quotient x or y' column to its marginal-form one
 
-    def marginal_rows(A: sp.csr_matrix) -> sp.csr_matrix:
-        """The quotient's rows ``A`` over the marginal form's columns."""
-        entries = A.tocoo()  # ordered by row
-        row, col = entries.row, entries.col
-        w = col < num_w
-        reads_p = _reads_totals(row[w], col[w], sums[0], A.shape[0])
-        by_u = ~reads_p[row[w]]
-        if not _reads_totals(row[w][by_u], col[w][by_u], sums[1], A.shape[0]).all():
-            raise ValueError("a quotient row reads a block through neither marginal")
-        new = col - num_w + n_p + n_u
-        new[w] = first[by_u.astype(np.int64), col[w]]
-        kept = new >= 0
-        indptr = np.r_[0, np.cumsum(np.bincount(row[kept], minlength=A.shape[0]))]
-        return sp.csr_matrix((entries.data[kept], new[kept], indptr), shape=(A.shape[0], num_cols))
-
-    balance = _csr([(p_group, np.arange(n_p), 1.0), (u_group, n_p + np.arange(n_u), -1.0)],
-                   (len(firsts), num_cols))
+    # rows: a representative reads the members of a w orbit that pair with it
+    same = qo1 == qo2
+    reads3 = (size[qo2] - same) * inv[:num_qw]  # (3)'s coefficient on each w orbit
+    row3_start = (np.cumsum(n_le) - n_le.ravel()).reshape(A, m)
+    num3 = int(n_le.sum())
+    row3, y_row3 = row3_start[qa, qo1] + qr, row3_start[y_a, y_o] + y_r
+    # a (3) row reads a block through p if the block has one reserve, else through u
+    p_row3 = n_cand[qa, qo1] == 1
+    u_row3 = ~p_row3[u_first]
+    y_free = free[y_o]
+    sup_per = n_cand[pa, po2]  # the supporter orbit's y' columns in a (4) row
+    sup_pair = np.repeat(np.arange(num_pairs), sup_per)
+    sup_q = y_start[pa, po2][sup_pair] + _ranges(sup_per)
+    # a (2') row meets its p in the order of its winner's first member, then r
+    q = p_first[np.lexsort((qr[p_first], partner[qo2, qo1][p_first]))]
+    eq = [  # (2'): p, y'; (6): x; balance: p, u
+        (qa[q] * m + qo2[q], w_p[q], -(size[qo1] - same)[q] * inv[q]),
+        (y_a * m + y_o, shift + y_q, float(k) * inv[y_q]),
+        (A * m + np.cumsum(free)[x_orbit] - 1, shift + x_q, inv[x_q]),
+        (A * m + num_free + p_group, p_cols, 1.0),
+        (A * m + num_free + u_group, u_cols, -1.0),
+    ]
+    le = [  # (3): p or u, x, y'; (4): p, y'; (5): p
+        (row3[p_row3], w_p[p_row3], reads3[p_row3]),
+        (row3[u_first][u_row3], u_cols[u_row3], reads3[u_first][u_row3]),
+        (y_row3[y_free], shift + (x_start[y_o] + below[y_o, y_r])[y_free], -inv[y_q][y_free]),
+        (y_row3, shift + y_q, inv[y_q]),
+        (num3 + w_pair[p_first], p_cols, inv[p_first]),
+        (num3 + sup_pair, shift + sup_q, -inv[sup_q]),
+        (num3 + num_pairs + qa[p_first], p_cols, (pair_size[w_pair] * inv[:num_qw])[p_first]),
+    ]
+    num_cols = shift + len(inv)
     return lp_solver.Quotient(
         lp=lp_solver.StandardLp(
-            c=np.concatenate([np.where(ph, 0.0, lp.c[p_first]),
-                              np.where(uh, lp.c[u_first], 0.0), lp.c[num_w:]]),
-            A_eq=sp.vstack([marginal_rows(lp.A_eq), balance], format="csr"),
-            b_eq=np.concatenate([lp.b_eq, np.zeros(len(firsts))]),
-            A_le=marginal_rows(lp.A_le),
-            b_le=lp.b_le,
+            c=np.concatenate([np.where(ph, 0.0, c_w[p_first]), np.where(uh, c_w[u_first], 0.0),
+                              np.zeros(len(inv) - num_qw)]),
+            A_eq=_csr(eq, (A * m + num_free + len(firsts), num_cols)),
+            b_eq=np.concatenate([np.zeros(A * m), np.ones(num_free), np.zeros(len(firsts))]),
+            A_le=_csr(le, (num3 + num_pairs + A, num_cols)),
+            b_le=np.concatenate([np.repeat(np.tile(~free, A), n_le.ravel()).astype(float),
+                                 np.zeros(num_pairs), np.full(A, float(k))]),
         ),
         # coupling order: supporters by bid, reserves by value, both descending
         expand=Coupling(spread, w_p, w_u, p_group, _rank_within(p_group, -pv), p_supporter,
@@ -753,19 +814,14 @@ def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solv
 def solve_lp(instance: LpInstance, *, tol_feas: float = 1e-7) -> LpSolution:
     """Solve an assembled instance to a verified optimum.
 
-    HiGHS solves the :func:`marginal_form` of the instance's
-    :func:`symmetry_quotient`, two exact reductions in a row.  Averaging any
-    optimum over the buyer-permutation group gives an optimum in the group's
-    fixed subspace, which has one variable per column orbit and one distinct
-    row per row orbit, and an optimum on candidate reserves exists; the
-    marginal form then keeps each block's two marginals instead of its w
-    columns.  The optimum is coupled back into w, expanded to the full
-    columns, orbit-mates carrying equal masses and non-candidate columns 0,
-    and :func:`lp_solver.solve` accepts it only after checking it against
-    the full rows, or rejects the solve with :class:`LpSolveError`.
+    HiGHS solves :func:`reduced_lp`, the marginal form of the instance's
+    symmetry quotient.  Its optimum is coupled back into w and expanded to
+    the full columns, orbit-mates carrying equal masses and non-candidate
+    columns 0, and :func:`lp_solver.solve` accepts it only after checking it
+    against the instance's full rows (:meth:`LpInstance.row_sums`), or
+    rejects the solve with :class:`LpSolveError`.
     """
-    result = lp_solver.solve(instance.to_standard_lp(), tol_feas=tol_feas,
-                             quotient=marginal_form(instance, symmetry_quotient(instance)))
+    result = lp_solver.solve(instance, tol_feas=tol_feas, quotient=reduced_lp(instance))
     s_parts, x_masses = instance.interpret(result.x)
     return LpSolution(
         instance=instance,

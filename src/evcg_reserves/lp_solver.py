@@ -4,7 +4,7 @@ Thin, solver-neutral layer over scipy's HiGHS backend: maximize ``c . x``
 subject to sparse equality and inequality rows with ``x >= 0``.  :func:`solve`
 is the one place that accepts or rejects a solve: it returns a point only
 when HiGHS proves it optimal, the point is feasible when re-verified from the
-raw matrices, and HiGHS's objective agrees with ``c . x``.  Given a
+full rows, and HiGHS's objective agrees with ``c . x``.  Given a
 :class:`Quotient`, HiGHS solves the smaller LP and the checks run on its
 expanded point against the full LP's rows.  Solves are deterministic for
 identical input.
@@ -49,6 +49,11 @@ class StandardLp:
             if not np.all(np.isfinite(A.data)) or not np.all(np.isfinite(b)):
                 raise ValueError(f"{name} has non-finite coefficients")
 
+    def row_sums(self, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
+        """``(A @ x, |A| @ |x|)`` for ``A_eq`` and ``A_le``; None for an absent block."""
+        return tuple(None if A is None else (A @ x, abs(A) @ np.abs(x))
+                     for A in (self.A_eq, self.A_le))
+
 
 @dataclass
 class Quotient:
@@ -86,16 +91,19 @@ def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
     """Maximum scaled constraint violation of a point, recomputed from scratch.
 
     Each row's residual is divided by ``1 + |coefficients| . |x| + |rhs|`` so
-    the tolerance is meaningful across money magnitudes.
+    the tolerance is meaningful across money magnitudes.  ``lp`` is a
+    :class:`StandardLp` or any LP with ``b_eq``, ``b_le`` and the same
+    ``row_sums``, such as ``lp_model.LpInstance``.
     """
     x = np.asarray(x, dtype=float)
     worst = max(0.0, float(-(x.min())) if x.size else 0.0)
-    if lp.A_eq is not None:
-        scale = 1.0 + abs(lp.A_eq) @ np.abs(x) + np.abs(lp.b_eq)
-        worst = max(worst, float(np.max(np.abs(lp.A_eq @ x - lp.b_eq) / scale, initial=0.0)))
-    if lp.A_le is not None:
-        scale = 1.0 + abs(lp.A_le) @ np.abs(x) + np.abs(lp.b_le)
-        worst = max(worst, float(np.max((lp.A_le @ x - lp.b_le) / scale, initial=0.0)))
+    eq, le = lp.row_sums(x)
+    if eq is not None:
+        scale = 1.0 + eq[1] + np.abs(lp.b_eq)
+        worst = max(worst, float(np.max(np.abs(eq[0] - lp.b_eq) / scale, initial=0.0)))
+    if le is not None:
+        scale = 1.0 + le[1] + np.abs(lp.b_le)
+        worst = max(worst, float(np.max((le[0] - lp.b_le) / scale, initial=0.0)))
     return worst
 
 
@@ -108,7 +116,9 @@ def solve(
     """Solve by HiGHS's dual simplex and return the optimum only once it is verified.
 
     With a ``quotient``, HiGHS solves ``quotient.lp`` and ``x`` is its point
-    expanded into ``lp``'s columns; the checks below read ``lp`` alone.
+    expanded into ``lp``'s columns; the checks below read ``lp`` alone,
+    through its ``c`` and :func:`feasibility_violation`, so ``lp`` then need
+    not carry matrices.
 
     Raises :class:`LpSolveError`, carrying HiGHS's status and message, unless
     HiGHS reports optimal, :func:`feasibility_violation` of the point is at

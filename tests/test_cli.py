@@ -5,6 +5,8 @@ import json
 import pytest
 
 from evcg_reserves import cli
+from evcg_reserves.baselines import BadExampleSpec, bad_example
+from evcg_reserves.datasets import random_dataset, save_dataset
 from evcg_reserves.report import compute_ratios, render
 
 DATASET = {
@@ -141,6 +143,49 @@ class TestBench:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b), "--threads", "8"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_report_matches_oracle_chain(self, tmp_path, monkeypatch):
+        """The report is byte-identical with the LP solved as the quotient ->
+        marginal chain over the assembled rows, checked on the CSR rows."""
+        from evcg_reserves import lp_model, lp_solver
+
+        from .lp_oracle import marginal_form, symmetry_quotient
+
+        def chain_solve(instance, *, tol_feas=1e-7):
+            result = lp_solver.solve(instance.to_standard_lp(), tol_feas=tol_feas,
+                                     quotient=marginal_form(instance, symmetry_quotient(instance)))
+            s_parts, x_masses = instance.interpret(result.x)
+            return lp_model.LpSolution(instance, result.objective, s_parts, x_masses, result.x,
+                                       result.iterations, result.max_violation)
+
+        for name, ds in (("bad6", bad_example(BadExampleSpec(k=6), augmented=False)),
+                         ("random", random_dataset(6, 8, 2, 3))):
+            path = tmp_path / f"{name}.json"
+            save_dataset(ds, path)
+            reports = []
+            for solve in (lp_model.solve_lp, chain_solve):
+                monkeypatch.setattr(lp_model, "solve_lp", solve)
+                out = tmp_path / f"{name}-{len(reports)}.json"
+                assert run(["bench", "--dataset", str(path), "--format", "json", "--seed", "1",
+                            "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
+            assert "lp" in json.loads(reports[0])
+
+    def test_full_rows_never_assembled(self, tmp_path, monkeypatch):
+        from evcg_reserves.lp_model import LpInstance
+
+        def refuse(instance):
+            raise AssertionError("the full LP's matrices were assembled")
+
+        monkeypatch.setattr(LpInstance, "A_eq", property(refuse))
+        monkeypatch.setattr(LpInstance, "A_le", property(refuse))
+        path, out = tmp_path / "bad20.json", tmp_path / "bench.json"
+        save_dataset(bad_example(BadExampleSpec(k=20), augmented=False), path)
+        assert run(["bench", "--dataset", str(path), "--out", str(out)]) == 0
+        lp = json.loads(out.read_text())["lp"]
+        sizes = lp["variables"], lp["equality_rows"], lp["inequality_rows"]
+        assert sizes == (11_541, 194, 6_101)
 
 
 class TestTables:

@@ -1,11 +1,13 @@
 """Sub-profile enumeration, LP assembly/solve, and integral encoding."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from evcg_reserves import lp_solver
+from evcg_reserves import cli, lp_solver
 from evcg_reserves.auction import (
     AuctionColumn,
     BidDataset,
@@ -24,12 +26,12 @@ from evcg_reserves.lp_model import (
     build_lp,
     encode_reserves,
     enumerate_subprofiles,
-    marginal_form,
+    reduced_lp,
     solve_lp,
-    symmetry_quotient,
 )
 
 from .conftest import desk_instances, grid_of, make_dataset
+from .lp_oracle import marginal_form, symmetry_quotient
 
 
 class TestEnumeration:
@@ -541,6 +543,87 @@ class TestMarginalForm:
                       - np.bincount(p_sum, seen["x"][:coupling.n_p])).max() <= 1e-15
         with pytest.raises(LpSolveError, match="violates constraints"):
             solve_lp(instance, tol_feas=violation / 2)
+
+
+def oracle_instances() -> list[BidDataset]:
+    """Every instance of ``test_objective_matches_full_solve``, the three
+    benchmark instances, ``bad_example(k)`` for k = 2, 4, 8, 20, 40, and 49
+    copies of one buyer, where an orbit's summed objective divided by its
+    size (49 / 49) is not the sum times 1 / size in the last bit."""
+    cases = symmetric_instances(60, seed=61) + desk_instances(10, seed=41)
+    cases += wide_bid_instances(12, seed=67)
+    cases += [bad_example(BadExampleSpec(k=k)) for k in (2, 4, 8, 20, 40)]
+    cases += [make_dataset(1, [(1, (1,) * 49 + (3,))])]
+    cases += [add_auxiliary_buyers(random_dataset(15, 30, 2, 0, max_bid=9, max_weight=1)),
+              add_auxiliary_buyers(random_dataset(6, 40, 2, 0, max_bid=9, max_weight=5))]
+    return cases
+
+
+def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    return a.shape == b.shape and all(np.array_equal(getattr(a, part), getattr(b, part))
+                                      for part in ("data", "indices", "indptr"))
+
+
+class TestReducedLp:
+    """reduced_lp emits the oracle chain's LP from buyer orbits, and the
+    solve checks the full rows without assembling them."""
+
+    def test_matches_quotient_chain(self):
+        """Array for array, so HiGHS takes the same path; the sizes the
+        report gives are the assembled matrices' shapes."""
+        for ds in oracle_instances():
+            instance = build_lp(ds, grid_of(ds))
+            oracle = marginal_form(instance, symmetry_quotient(instance))
+            reduced = reduced_lp(instance)
+            for name in ("c", "b_eq", "b_le"):
+                assert np.array_equal(getattr(reduced.lp, name), getattr(oracle.lp, name)), name
+            assert same_csr(reduced.lp.A_eq, oracle.lp.A_eq)
+            assert same_csr(reduced.lp.A_le, oracle.lp.A_le)
+            new, old = reduced.expand, oracle.expand
+            assert same_csr(new.spread, old.spread)
+            for name in ("w_p", "w_u", "p_group", "u_group", "p_count", "u_count", "p_at",
+                         "u_at", "p_supporter", "u_reserve", "w_at"):
+                assert np.array_equal(getattr(new, name), getattr(old, name)), name
+            section = cli._lp_section(instance, SimpleNamespace(
+                objective=0.0, iterations=0, max_violation=0.0))
+            assert (section["variables"], section["equality_rows"], section["inequality_rows"]) \
+                == (instance.A_eq.shape[1], instance.A_eq.shape[0], instance.A_le.shape[0])
+
+    def test_full_row_check_matches_csr(self):
+        """The check sums each full row in column order from the index arrays:
+        the same floats as the CSR rows, at the optimum and at points that
+        break each row family."""
+        rng = np.random.Generator(np.random.Philox(113))
+        cases = [bad_example(BadExampleSpec(k=4))] + symmetric_instances(6, seed=113)
+        cases += wide_bid_instances(4, seed=127)
+        for ds in cases:
+            instance = build_lp(ds, grid_of(ds))
+            csr = instance.to_standard_lp()
+            solution = solve_lp(instance)
+            x = solution.vector
+            assert solution.max_violation == lp_solver.feasibility_violation(csr, x)
+            assert solution.objective == float(instance.c @ x)
+            counts = instance.constraint_counts
+            eq2, le3 = counts["supporter_link"], counts["reserve_consistency"]
+            le4 = le3 + counts["compatibility"]
+            w, xc, yp = 0, int(instance.x_cols.max()), int(instance.yp_first[0, 0])
+            families = {  # rows, rhs, eq?, and a perturbation breaking them
+                "(2')": (csr.A_eq[:eq2], csr.b_eq[:eq2], True, w, 1e-3),
+                "(6)": (csr.A_eq[eq2:], csr.b_eq[eq2:], True, xc, 1e-3),
+                "(3)": (csr.A_le[:le3], csr.b_le[:le3], False, yp, 2.0),
+                "(4)": (csr.A_le[le3:le4], csr.b_le[le3:le4], False, w, 5.0),
+                "(5)": (csr.A_le[le4:], csr.b_le[le4:], False, w, ds.num_items + 1.0),
+            }
+            for family, (rows, rhs, eq, col, step) in families.items():
+                point = x.copy()
+                point[col] += step
+                residual = rows @ point - rhs
+                assert (np.abs(residual) if eq else residual).max() > 0, family
+                violation = lp_solver.feasibility_violation(instance, point)
+                assert violation == lp_solver.feasibility_violation(csr, point) > 0, family
+            point = rng.standard_normal(instance.num_vars)
+            assert (lp_solver.feasibility_violation(instance, point)
+                    == lp_solver.feasibility_violation(csr, point))
 
 
 class TestEncode:
