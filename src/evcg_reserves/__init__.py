@@ -43,8 +43,6 @@ from .rounding import (
     RoundingParams,
     SplitDistributions,
     best_of_three,
-    sample_reserves,
-    simple_rounding,
     split_distributions,
 )
 
@@ -78,8 +76,6 @@ __all__ = [
     "kth_plus_one_bid",
     "revenue",
     "run_evcg",
-    "sample_reserves",
-    "simple_rounding",
     "solve_lp",
     "split_distributions",
     "winners_above",

@@ -131,12 +131,12 @@ class ReserveGrid:
 class AuctionOutcome:
     """Result of one eager VCG auction (unweighted).
 
-    ``winners`` are the ``num_items`` highest cleared bids in tie-broken
-    order, ``supporter`` the next cleared buyer, and each winner pays
-    ``max(own reserve, supporter's bid)``.
+    A buyer clears when its bid is at least its reserve.  ``winners`` are the
+    ``num_items`` highest cleared bids in tie-broken order, ``supporter`` the
+    next cleared buyer, and each winner pays ``max(own reserve, supporter's
+    bid)``.
     """
 
-    cleared: frozenset[int]
     winners: tuple[int, ...]
     supporter: int
     payments: dict[int, int]
@@ -407,9 +407,7 @@ class _BatchEvaluator:
         order = self.order[auction_index]
         wins = wins[0, 0]
         paid = dict(zip(order[wins].tolist(), (int(p) for p in paid[0, 0][wins])))
-        bids = self.dataset.auctions[auction_index].bids
         return AuctionOutcome(
-            cleared=frozenset(b for b, bid in enumerate(bids) if bid >= row[0, b]),
             winners=tuple(paid), supporter=int(order[supports[0, 0]][0]),
             payments=paid, revenue=sum(paid.values()))
 

@@ -21,7 +21,7 @@ TABLE1_Y_ROWS = (1.05, 1.1, 1.2, 1.5, 1.7, 1.8)
 TABLE1_X_COLUMNS = (0.6, 0.8, 0.9, 1.0)
 TABLE2_ALPHA_COLUMNS = (0.15, 0.2, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2)
 TABLE1_CAP = 0.9
-DEFAULT_M_MAX = 2000
+M_MAX = 2000
 
 
 def poisson_tail(x: int, lam: float) -> float:
@@ -51,19 +51,17 @@ def lambda_value(i: int, y: float, x: float) -> float:
     return i * y + x
 
 
-def table1_lower(y: float, x: float, m_max: int = DEFAULT_M_MAX) -> float | None:
+def table1_lower(y: float, x: float) -> float | None:
     """Lower bound for the overflow probability, or None where the bound is invalid.
 
-    Valid only when y > 1 and every rate lambda_i (i < m_max) is at least
+    Valid only when y > 1 and every rate lambda_i (i < M_MAX) is at least
     i + 1; invalid cells correspond to the dash entries of the emitted table.
-    The bound is min(0.9, min_{m < m_max} G(m, lambda_m)).
+    The bound is min(0.9, min_{m < M_MAX} G(m, lambda_m)).
     """
-    ms = np.arange(m_max, dtype=float)
+    ms = np.arange(M_MAX, dtype=float)
     lams = ms * y + x
-    if m_max > 0:
-        lams[0] = lambda_value(0, y, x)
-    if m_max > 1:
-        lams[1] = lambda_value(1, y, x)
+    lams[0] = lambda_value(0, y, x)
+    lams[1] = lambda_value(1, y, x)
     if not (y > 1.0) or np.any(lams < ms + 1.0):
         return None
     return min(TABLE1_CAP, float(gammainc(ms + 1.0, lams).min()))
@@ -81,13 +79,12 @@ def _floor_to(value: float, decimals: int) -> float:
 
 def table3_lower(
     y: float,
-    x_grid: tuple[float, ...] = TABLE1_X_COLUMNS,
     *,
-    m_max: int = DEFAULT_M_MAX,
     alpha_columns: tuple[float, ...] = TABLE2_ALPHA_COLUMNS,
     quantize: bool = True,
 ) -> float:
-    """Combined lower bound: max over x of min(table1(y, x), table2(y - x)).
+    """Combined lower bound: max over the table-1 columns x of
+    min(table1(y, x), table2(y - x)).
 
     Follows the published combination arithmetic: an invalid table-1 cell
     counts as 0, table-2 is consulted only at its tabulated alpha columns
@@ -95,8 +92,8 @@ def table3_lower(
     precision (3 decimals for table 1, 2 for table 2).
     """
     best = 0.0
-    for x in x_grid:
-        t1 = table1_lower(y, x, m_max)
+    for x in TABLE1_X_COLUMNS:
+        t1 = table1_lower(y, x)
         v1 = 0.0 if t1 is None else t1
         alpha = y - x
         if any(abs(alpha - col) < 1e-9 for col in alpha_columns):
@@ -179,36 +176,13 @@ def chernoff_tail_check(m: int, alpha: float) -> float:
     return poisson_tail(m, alpha * m)
 
 
-def table1_rows(
-    ys: tuple[float, ...] = TABLE1_Y_ROWS,
-    xs: tuple[float, ...] = TABLE1_X_COLUMNS,
-    m_max: int = DEFAULT_M_MAX,
-) -> list[dict]:
-    return [
-        {"y": y, "x": x, "value": table1_lower(y, x, m_max)}
-        for y in ys
-        for x in xs
-    ]
-
-
-def table2_rows(alphas: tuple[float, ...] = TABLE2_ALPHA_COLUMNS) -> list[dict]:
-    return [{"alpha": a, "value": table2_lower(a)} for a in alphas]
-
-
-def table3_rows(
-    ys: tuple[float, ...] = TABLE1_Y_ROWS,
-    xs: tuple[float, ...] = TABLE1_X_COLUMNS,
-    m_max: int = DEFAULT_M_MAX,
-) -> list[dict]:
-    return [{"y": y, "value": table3_lower(y, xs, m_max=m_max)} for y in ys]
-
-
 def build_snapshot() -> dict:
-    """All three tables on their default grids, for regression snapshots."""
+    """All three tables on their published grids, for regression snapshots."""
     return {
-        "table1": table1_rows(),
-        "table2": table2_rows(),
-        "table3": table3_rows(),
+        "table1": [{"y": y, "x": x, "value": table1_lower(y, x)}
+                   for y in TABLE1_Y_ROWS for x in TABLE1_X_COLUMNS],
+        "table2": [{"alpha": a, "value": table2_lower(a)} for a in TABLE2_ALPHA_COLUMNS],
+        "table3": [{"y": y, "value": table3_lower(y)} for y in TABLE1_Y_ROWS],
     }
 
 

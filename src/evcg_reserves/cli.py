@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: gen | solve | round | bench | tables | verify | probe.
+Subcommands: gen {bad-example,random,correlated} | solve | round | bench |
+tables | verify | probe.  Each subcommand, and each gen kind, accepts only
+the flags it reads (see :func:`build_parser`); any other flag exits 2.
 Exit codes: 0 success, 2 validation error, unverified LP solve or I/O error,
 3 size-guard refusal, 4 tables-snapshot mismatch.  Reports are deterministic
 for a fixed seed; pass --timings to append wall-clock phase durations (which
@@ -332,7 +334,7 @@ def _config_section(args) -> dict:
 
 
 def _attach_timings(args, doc: dict, started: float) -> None:
-    if getattr(args, "timings", False):
+    if args.timings:
         doc["timings"] = {"total_seconds": time.perf_counter() - started}
 
 
@@ -348,23 +350,6 @@ def _at_least(kind: type, low: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_dataset: bool = True) -> None:
-    if needs_dataset:
-        p.add_argument("--dataset", required=True, help="dataset JSON file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="json")
-    p.add_argument("--boost", type=float, default=0.55)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_at_least(int, 1), default=1)
-    p.add_argument("--max-subprofiles", type=_at_least(int, 0),
-                   default=lp_model.DEFAULT_MAX_SUBPROFILES)
-    p.add_argument("--tol-feas", type=_at_least(float, 0), default=1e-7)
-    p.add_argument("--brute-cap", type=_at_least(int, 0), default=baselines.DEFAULT_BRUTE_CAP)
-    p.add_argument("--timings", action="store_true",
-                   help="append wall-clock timings to the report (breaks byte determinism)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evcg-reserves",
@@ -372,50 +357,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flag groups; each command and gen kind takes exactly the groups it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (default: stdout)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    lp = argparse.ArgumentParser(add_help=False, parents=[out])
+    lp.add_argument("--dataset", required=True, help="dataset JSON file")
+    lp.add_argument("--format", choices=("text", "json", "csv"), default="json")
+    lp.add_argument("--max-subprofiles", type=_at_least(int, 0),
+                    default=lp_model.DEFAULT_MAX_SUBPROFILES)
+    lp.add_argument("--tol-feas", type=_at_least(float, 0), default=1e-7)
+    lp.add_argument("--timings", action="store_true",
+                    help="append wall-clock timings to the report (breaks byte determinism)")
+    draws = argparse.ArgumentParser(add_help=False, parents=[seed])
+    draws.add_argument("--boost", type=float, default=0.55)
+    draws.add_argument("--samples", type=int, default=64)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=_at_least(int, 1), default=1)
+    size = argparse.ArgumentParser(add_help=False, parents=[out, seed])
+    size.add_argument("--buyers", type=_at_least(int, 1), default=3)
+    size.add_argument("--auctions", type=int, default=3)
+    size.add_argument("--items", type=int, default=1)
+    size.add_argument("--scale", type=int, default=0)
+
     p = sub.add_parser("gen", help="generate a dataset file")
-    p.add_argument("kind", choices=("bad-example", "random", "correlated"))
-    p.add_argument("--k", type=int, default=2, help="items (bad-example)")
+    p.set_defaults(func=cmd_gen)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("bad-example", parents=[out], help="one-shot rounding's worst case")
+    p.add_argument("--k", type=int, default=2, help="items")
     p.add_argument("--delta", type=float, default=0.025)
     p.add_argument("--fractional-out", help="also write the hand-crafted fractional point")
-    p.add_argument("--buyers", type=_at_least(int, 1), default=3)
-    p.add_argument("--auctions", type=int, default=3)
-    p.add_argument("--items", type=int, default=1)
+    p = kinds.add_parser("random", parents=[size], help="IID-uniform integer bids")
     p.add_argument("--max-bid", type=_at_least(int, 0), default=9)
     p.add_argument("--max-weight", type=_at_least(int, 1), default=1)
+    p = kinds.add_parser("correlated", parents=[size], help="per-auction value x buyer factors")
     p.add_argument("--noise", type=_at_least(float, 0), default=0.0)
-    p.add_argument("--scale", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="build and solve the LP bound")
-    _add_common(p)
+    p = sub.add_parser("solve", parents=[lp], help="build and solve the LP bound")
     p.add_argument("--lp-dump", help="write the LP in text interchange format")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("round", help="solve, then best-of-three rounding")
-    _add_common(p)
+    p = sub.add_parser("round", parents=[lp, draws, threads],
+                       help="solve, then best-of-three rounding")
     p.add_argument("--vector-out", help="write the chosen reserve vector")
     p.set_defaults(func=cmd_round)
 
-    p = sub.add_parser("bench", help="run all methods on one dataset")
-    _add_common(p)
+    p = sub.add_parser("bench", parents=[lp, draws, threads],
+                       help="run all methods on one dataset")
+    p.add_argument("--brute-cap", type=_at_least(int, 0), default=baselines.DEFAULT_BRUTE_CAP)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("tables", help="regenerate bound tables and diff the snapshot")
-    p.add_argument("--out", help="output path (default: stdout)")
+    p = sub.add_parser("tables", parents=[out],
+                       help="regenerate bound tables and diff the snapshot")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--tol", type=float, default=0.005)
+    p.add_argument("--tol", type=_at_least(float, 0), default=0.005)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("verify", help="recompute a report's revenues from its artifacts")
+    p = sub.add_parser("verify", parents=[out],
+                       help="recompute a report's revenues from its artifacts")
     p.add_argument("--report", required=True)
     p.add_argument("--dataset", help="override the dataset path stored in the report")
-    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("probe", help="per-auction threshold diagnostics of the LP solution")
-    _add_common(p)
+    p = sub.add_parser("probe", parents=[lp, draws],
+                       help="per-auction threshold diagnostics of the LP solution")
     p.set_defaults(func=cmd_probe)
 
     return parser

@@ -261,21 +261,20 @@ def correlated_dataset(
     num_items: int,
     seed: int,
     *,
-    base_range: tuple[int, int] = (1, 5),
-    factor_range: tuple[int, int] = (0, 4),
     noise: float = 0.0,
     scale: int = 0,
 ) -> BidDataset:
     """Bids driven by a shared per-auction latent value scaling buyer factors.
 
-    With ``noise == 0`` every auction's bids are exactly proportional to the
-    fixed buyer factors.
+    Buyer factors are uniform in {0..4}, each auction's latent value uniform
+    in {1..5}.  With ``noise == 0`` every auction's bids are exactly
+    proportional to the fixed buyer factors.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    factors = rng.integers(factor_range[0], factor_range[1] + 1, size=num_buyers)
+    factors = rng.integers(0, 5, size=num_buyers)
     auctions = []
     for _ in range(num_auctions):
-        latent = int(rng.integers(base_range[0], base_range[1] + 1))
+        latent = int(rng.integers(1, 6))
         bids = latent * factors
         if noise > 0:
             jitter = rng.normal(0.0, noise, size=num_buyers)

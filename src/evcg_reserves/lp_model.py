@@ -442,19 +442,15 @@ def build_lp(
     k = dataset.num_items
     R = len(grid)
     A = dataset.num_auctions
-    values = grid.values
 
-    # bids and grid values as ranks in one sorted list: exact comparisons
-    # whatever the size of the money values
-    levels = sorted(set(values).union(*(a.bids for a in dataset.auctions)))
-    rank = {v: i for i, v in enumerate(levels)}
-    bid_rank = np.array([[rank[v] for v in a.bids] for a in dataset.auctions],
-                        dtype=np.int64).reshape(A, n)
-    value_rank = np.array([rank[v] for v in values], dtype=np.int64)
-    n_le = np.searchsorted(value_rank, bid_rank, side="right")  # grid values clearing each bid
+    # every bid is at most top <= 2^53, so bids fit int64; grid values above
+    # top clear no bid and compare alike once clipped to top + 1
+    bids = np.array([a.bids for a in dataset.auctions], dtype=np.int64)
+    values = np.array([min(v, top + 1) for v in grid.values], dtype=np.int64)
+    n_le = np.searchsorted(values, bids, side="right")  # grid values clearing each bid
 
     # (winner, supporter) pairs in (auction, winner, supporter) order
-    pairs = (bid_rank[:, :, None] >= bid_rank[:, None, :]) & ~np.eye(n, dtype=bool)
+    pairs = (bids[:, :, None] >= bids[:, None, :]) & ~np.eye(n, dtype=bool)
     pa, pw, ps = np.nonzero(pairs)
     allocated = np.cumsum(n_le[pa, pw])  # winner-side sub-profiles (w columns) so far
     if len(allocated) and allocated[-1] > max_subprofiles:
@@ -484,9 +480,8 @@ def build_lp(
     num_yp = int(n_le.sum())
 
     weights = np.array([float(a.weight) for a in dataset.auctions])
-    revenue_rank = np.maximum(bid_rank[col_a, col_s], value_rank[col_r1])
-    # every revenue is at most the top bid, which is at most 2^53
-    w_revenue = np.array(levels[: bid_rank.max() + 1], dtype=np.int64)[revenue_rank]
+    # a w column's reserve clears the winner's bid, so it is unclipped
+    w_revenue = np.maximum(bids[col_a, col_s], values[col_r1])
     c = np.zeros(yp_offset + num_yp)
     c[:num_w] = weights[col_a] * w_revenue
 

@@ -94,8 +94,6 @@ class PhiEstimate(NamedTuple):
     value: float
     stderr: float
     mass_above: float
-    mean_discounted: float
-    mean_inflated: float
 
 
 def probe_phi(ctx: ProbeContext, *, num_samples: int = 1000, seed: int = 0) -> PhiEstimate:
@@ -128,8 +126,6 @@ def probe_phi(ctx: ProbeContext, *, num_samples: int = 1000, seed: int = 0) -> P
         value=float(value),
         stderr=float(np.sqrt(var)),
         mass_above=exact,
-        mean_discounted=float(w_disc.mean()),
-        mean_inflated=float(w_infl.mean()),
     )
 
 

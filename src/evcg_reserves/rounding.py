@@ -74,8 +74,11 @@ def masses_matrix(
 
 
 def normalise_masses(x: np.ndarray) -> np.ndarray:
-    """Clip solver noise at 0 and divide each row by its sum; rejects entries
-    below -1e-9 and rows whose sum is off 1 by more than 1e-7."""
+    """Clip solver noise at 0 and divide each row by its sum; rejects
+    non-finite entries, entries below -1e-9 and rows whose sum is off 1 by
+    more than 1e-7."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("reserve masses must be finite")
     if np.any(x < -_NEG_TOL):
         raise ValueError("negative reserve mass beyond tolerance")
     x = np.clip(x, 0.0, None)
@@ -153,18 +156,6 @@ def sample_matrix(
     return out
 
 
-def sample_reserves(
-    dist: np.ndarray,
-    grid: tuple[int, ...],
-    seed: int,
-    *,
-    stream: int = DISCOUNTED_STREAM,
-    index: int = 0,
-) -> tuple[int, ...]:
-    """One reserve vector: row ``index`` of the deterministic sample stream."""
-    return tuple(int(v) for v in sample_matrix(dist, grid, seed, stream, index + 1)[index])
-
-
 @dataclass(frozen=True)
 class RoundingOutput:
     """The three candidate vectors, their exact revenues, and the winner."""
@@ -237,19 +228,6 @@ def best_of_three(
         zero=zero, zero_revenue=rev_zero,
         chosen=chosen,
     )
-
-
-def simple_rounding(
-    dataset: BidDataset,
-    x_masses: dict[int, dict[int, float]],
-    grid: ReserveGrid,
-    seed: int,
-    *,
-    index: int = 0,
-) -> tuple[int, ...]:
-    """One independent draw per buyer: row ``index`` of :func:`simple_rounding_matrix`."""
-    draws = simple_rounding_matrix(dataset, x_masses, grid, seed, index + 1)
-    return tuple(int(v) for v in draws[index])
 
 
 def simple_rounding_matrix(

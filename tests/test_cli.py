@@ -48,14 +48,14 @@ class TestGen:
     def test_fractional_point_file_feeds_rounding(self, tmp_path):
         from evcg_reserves.auction import ReserveGrid, add_auxiliary_buyers
         from evcg_reserves.datasets import load_dataset, load_masses
-        from evcg_reserves.rounding import simple_rounding
+        from evcg_reserves.rounding import simple_rounding_matrix
 
         out, frac = tmp_path / "bad.json", tmp_path / "frac.json"
         assert run(["gen", "bad-example", "--k", "2", "--delta", "0.5",
                     "--out", str(out), "--fractional-out", str(frac)]) == 0
         ds = add_auxiliary_buyers(load_dataset(out))
         masses = load_masses(frac, ds)
-        draw = simple_rounding(ds, masses, ReserveGrid.from_dataset(ds), seed=3)
+        draw = simple_rounding_matrix(ds, masses, ReserveGrid.from_dataset(ds), 3, 1)[0]
         assert draw[0] == 8 and draw[1] in (1, 2)
 
     def test_random_deterministic(self, tmp_path):
@@ -316,18 +316,47 @@ class TestExitCodes:
         ("--noise", "-1"),
         ("--noise", "nan"),
         ("--noise", "inf"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-1"),
     ])
     def test_out_of_range_number_rejected(self, dataset_file, tmp_path, capsys, flag, value):
         """Refused while parsing, before the dataset is read or a file written."""
         out = tmp_path / "bench.json"
-        gen_flags = ("--buyers", "--max-bid", "--max-weight", "--noise")
-        command = (["gen", "correlated"] if flag in gen_flags
-                   else ["bench", "--dataset", dataset_file])
+        command = {"--buyers": ["gen", "correlated"], "--noise": ["gen", "correlated"],
+                   "--max-bid": ["gen", "random"], "--max-weight": ["gen", "random"],
+                   "--tol": ["tables"]}.get(flag, ["bench", "--dataset", dataset_file])
         with pytest.raises(SystemExit) as exited:
             run(command + [flag, value, "--out", str(out)])
         assert exited.value.code == cli.EXIT_VALIDATION
         assert f"argument {flag}: {value!r} is not a finite number >=" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *[("solve", flag, "1") for flag in
+          ("--boost", "--samples", "--seed", "--threads", "--brute-cap")],
+        ("round", "--brute-cap", "1"),
+        ("probe", "--threads", "1"),
+        ("probe", "--brute-cap", "1"),
+        *[("gen bad-example", flag, "1") for flag in
+          ("--buyers", "--auctions", "--items", "--max-bid", "--max-weight", "--noise",
+           "--scale", "--seed")],
+        *[("gen random", flag, "1") for flag in ("--k", "--delta", "--noise")],
+        ("gen random", "--fractional-out", "{tmp}/frac.json"),
+        *[("gen correlated", flag, "1") for flag in
+          ("--k", "--delta", "--max-bid", "--max-weight")],
+        ("gen correlated", "--fractional-out", "{tmp}/frac.json"),
+    ])
+    def test_unread_flag_rejected(self, dataset_file, tmp_path, capsys, command, flag, value):
+        """A flag the command or gen kind would not read exits 2 while parsing."""
+        argv = command.split()
+        if argv[0] != "gen":
+            argv += ["--dataset", dataset_file]
+        with pytest.raises(SystemExit) as exited:
+            run(argv + [flag, value.format(tmp=tmp_path), "--out", str(tmp_path / "out.json")])
+        assert exited.value.code == cli.EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"

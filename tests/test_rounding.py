@@ -13,9 +13,8 @@ from evcg_reserves.rounding import (
     RoundingParams,
     best_of_three,
     masses_matrix,
+    normalise_masses,
     sample_matrix,
-    sample_reserves,
-    simple_rounding,
     simple_rounding_matrix,
     split_distributions,
 )
@@ -60,6 +59,12 @@ class TestSplit:
         x = masses(GRID_0_5_10, [{0: 0.7}])
         with pytest.raises(ValueError):
             split_distributions(x, GRID_0_5_10, RoundingParams())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        # NaN fails both the sign and the sum comparison, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            normalise_masses(np.array([[bad, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
     def test_exact_split_matches_rescaled_masses(self):
         # when the below-threshold mass hits boost exactly, each side is the
@@ -136,8 +141,8 @@ class TestSampling:
         # longer runs extend, never reshuffle, the per-buyer streams
         c = sample_matrix(x, GRID_0_5_10.values, seed=5, stream=0, num_samples=64)
         assert np.array_equal(c[:16], a)
-        single = sample_reserves(x, GRID_0_5_10.values, seed=5, stream=0, index=3)
-        assert single == tuple(int(v) for v in a[3])
+        d = sample_matrix(x, GRID_0_5_10.values, seed=5, stream=0, num_samples=4)
+        assert np.array_equal(d[3], a[3])
 
 
 class TestBestOfThree:
@@ -178,7 +183,8 @@ class TestSimpleRounding:
     def test_integral_masses_deterministic(self, two_bidder_k1):
         grid = grid_of(two_bidder_k1)
         x = {0: {10: 1.0}, 1: {5: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}}
-        assert simple_rounding(two_bidder_k1, x, grid, seed=4) == (10, 5, 0, 0)
+        draw = simple_rounding_matrix(two_bidder_k1, x, grid, seed=4, num_samples=1)[0]
+        assert tuple(draw) == (10, 5, 0, 0)
 
     def test_worst_case_point_marginals(self):
         spec = BadExampleSpec(k=3, delta=0.3)
@@ -198,7 +204,7 @@ class TestSimpleRounding:
         grid = grid_of(two_bidder_k1)
         bad = {0: {10: 0.5}, 1: {5: 1.0}, 2: {0: 1.0}, 3: {0: 1.0}}
         with pytest.raises(ValueError):
-            simple_rounding(two_bidder_k1, bad, grid, seed=1)
+            simple_rounding_matrix(two_bidder_k1, bad, grid, seed=1, num_samples=1)
 
     def test_matrix_rejects_short_masses(self, two_bidder_k1):
         grid = grid_of(two_bidder_k1)
