@@ -6,7 +6,8 @@ exactly, evaluating each auction only on its distinct outcomes;
 (a baseline, not a primary artifact).  ``bad_example`` builds the weighted
 four-column dataset on which naive one-shot rounding of the fractional
 optimum loses to the best reserve vector for large item counts, and
-``bad_example_fractional`` its hand-crafted fractional LP point.
+``bad_example_fractional`` the fractional LP point mixing its two benchmark
+vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .auction import (
     zero_reserves,
 )
 from .errors import SizeGuardError
-from .lp_model import LpPoint, SubProfile, make_subprofile
+from .lp_model import LpPoint, encode_reserves
 
 DEFAULT_BRUTE_CAP = 10_000_000
 
@@ -80,58 +81,28 @@ def bad_example_optimal_vectors(spec: BadExampleSpec) -> tuple[tuple[int, ...], 
 
 
 def bad_example_fractional(spec: BadExampleSpec) -> LpPoint:
-    """The hand-crafted fractional point mixing the two benchmark vectors.
+    """The fractional point mixing the two benchmark vectors.
 
-    Each listed k-winner profile expands to its k compatible sub-profiles
-    (every winner paired with the listed supporter at the listed reserves),
-    each carrying the profile's mass.
+    Both vectors are encoded with :func:`encode_reserves`.  A sub-profile or
+    reserve realised by both carries mass 1, one realised only by the first
+    ``delta``, and one realised only by the second ``1 - delta``.  Each
+    encoding is a feasible LP point and the rows are linear, so the mix is
+    feasible for every k and delta.
     """
-    k, d = spec.k, spec.delta
+    d = spec.delta
     dataset = bad_example(spec)
-    nreal = k + 2
-    aux = tuple(range(nreal, nreal + k + 1))
-    b1, b2 = 0, 1
-    tail = tuple(range(2, nreal))  # b3..b_{k+2}
+    grid = ReserveGrid.from_dataset(dataset)
+    first, second = (encode_reserves(dataset, grid, v) for v in bad_example_optimal_vectors(spec))
 
-    def sub(a: int, winner: int, supporter: int, r1: int, r2: int) -> SubProfile:
-        return make_subprofile(dataset, a, winner, supporter, r1, r2)
+    def mix(p: dict, q: dict) -> dict:
+        return {**dict.fromkeys(p, d), **dict.fromkeys(q, 1.0 - d),
+                **dict.fromkeys(p.keys() & q.keys(), 1.0)}
 
-    s: dict[int, dict[SubProfile, float]] = {a: {} for a in range(4)}
-    # auction 1: b1 wins at reserve k^3, auxiliaries fill the other slots
-    s[0][sub(0, b1, aux[k - 1], k**3, 0)] = 1.0
-    for i in range(k - 1):
-        s[0][sub(0, aux[i], aux[k - 1], 0, 0)] = 1.0
-    # auction 2: the tail buyers win at k^2 (mass delta) or 1 (mass 1-delta)
-    for b in tail:
-        s[1][sub(1, b, aux[0], k**2, 0)] = d
-        s[1][sub(1, b, aux[0], 1, 0)] = 1.0 - d
-    # auction 3: either b2 alone at reserve k, or everyone at reserve 1
-    s[2][sub(2, b2, aux[k - 1], k, 0)] = d
-    for i in range(k - 1):
-        s[2][sub(2, aux[i], aux[k - 1], 0, 0)] = d
-    s[2][sub(2, b2, tail[-1], 1, 1)] = 1.0 - d
-    for b in tail[:-1]:
-        s[2][sub(2, b, tail[-1], 1, 1)] = 1.0 - d
-    # auction 4: everyone at reserve 1, leftover mass on the all-auxiliary profile
-    s[3][sub(3, b2, tail[-1], 1, 1)] = 1.0 - d
-    for b in tail[:-1]:
-        s[3][sub(3, b, tail[-1], 1, 1)] = 1.0 - d
-    for i in range(k):
-        s[3][sub(3, aux[i], aux[k], 0, 0)] = d
-
-    x: dict[int, dict[int, float]] = {
-        b1: {k**3: 1.0},
-        b2: {k: d, 1: 1.0 - d},
-    }
-    for b in tail:
-        x[b] = {k**2: d, 1: 1.0 - d}
-    for b in aux:
-        x[b] = {0: 1.0}
-    objective = sum(
-        dataset.auctions[a].weight * sum(p.revenue * m for p, m in masses.items())
-        for a, masses in s.items()
+    return LpPoint(
+        s={a: mix(first.s[a], second.s[a]) for a in first.s},
+        x={b: mix(first.x[b], second.x[b]) for b in first.x},
+        objective=d * first.objective + (1.0 - d) * second.objective,
     )
-    return LpPoint(s=s, x=x, objective=objective)
 
 
 def _candidate_reserves(dataset: BidDataset, grid: ReserveGrid) -> list[list[int]]:

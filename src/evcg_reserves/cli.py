@@ -109,10 +109,11 @@ def cmd_solve(args) -> int:
 def cmd_round(args) -> int:
     started = time.perf_counter()
     augmented, grid = _load(args)
-    instance, solution = _solve(args, augmented, grid)
+    # checked before the LP is solved, as in bench
     params = rounding.RoundingParams(
         boost=args.boost, num_samples=args.samples, rng_seed=args.seed
     )
+    instance, solution = _solve(args, augmented, grid)
     out = rounding.best_of_three(augmented, solution, params, threads=args.threads)
     doc = report.make_report("round", augmented, _config_section(args))
     doc["lp"] = _lp_section(instance, solution)
@@ -293,6 +294,10 @@ def cmd_verify(args) -> int:
 def cmd_probe(args) -> int:
     started = time.perf_counter()
     augmented, grid = _load(args)
+    # checked before the LP is solved, as in bench
+    rounding.RoundingParams(boost=args.boost)
+    if args.samples < 2:
+        raise ValueError("num_samples must be at least 2 for a standard error")
     instance, solution = _solve(args, augmented, grid)
     doc = report.make_report("probe", augmented, _config_section(args))
     doc["lp"] = _lp_section(instance, solution)
@@ -387,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = kinds.add_parser("bad-example", parents=[out], help="one-shot rounding's worst case")
     p.add_argument("--k", type=int, default=2, help="items")
     p.add_argument("--delta", type=float, default=0.025)
-    p.add_argument("--fractional-out", help="also write the hand-crafted fractional point")
+    p.add_argument("--fractional-out",
+                   help="also write the fractional point mixing the two benchmark vectors")
     p = kinds.add_parser("random", parents=[size], help="IID-uniform integer bids")
     p.add_argument("--max-bid", type=_at_least(int, 0), default=9)
     p.add_argument("--max-weight", type=_at_least(int, 1), default=1)

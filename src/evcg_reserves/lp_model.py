@@ -64,23 +64,6 @@ class SubProfile(NamedTuple):
     revenue: int
 
 
-def make_subprofile(
-    dataset: BidDataset, auction_index: int, winner: int, supporter: int,
-    winner_reserve: int, supporter_reserve: int,
-) -> SubProfile:
-    bids = dataset.auctions[auction_index].bids
-    if winner == supporter:
-        raise ValueError("winner and supporter must differ")
-    if bids[winner] < bids[supporter]:
-        raise ValueError("winner must bid at least the supporter's bid")
-    if winner_reserve > bids[winner] or supporter_reserve > bids[supporter]:
-        raise ValueError("reserves must clear the respective bids")
-    return SubProfile(
-        winner, supporter, winner_reserve, supporter_reserve,
-        max(bids[supporter], winner_reserve),
-    )
-
-
 def enumerate_subprofiles(
     dataset: BidDataset,
     auction_index: int,

@@ -52,7 +52,6 @@ class SplitDistributions:
     """
 
     grid: tuple[int, ...]
-    boost: float
     thresholds: tuple[int, ...]
     discounted: np.ndarray
     inflated: np.ndarray
@@ -125,7 +124,6 @@ def split_distributions(
     fp /= fp.sum(axis=1, keepdims=True)
     return SplitDistributions(
         grid=grid.values,
-        boost=boost,
         thresholds=tuple(int(grid.values[t]) for t in t_idx),
         discounted=f,
         inflated=fp,

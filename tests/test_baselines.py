@@ -253,15 +253,23 @@ class TestFractionalPoint:
             assert point.x[b] == {16: 0.1, 1: 0.9}
 
     def test_feasible_for_built_lp(self):
-        for k in (2, 3):
-            spec = BadExampleSpec(k=k, delta=0.25)
-            ds = bad_example(spec)
+        for k in range(2, 9):
+            ds = bad_example(BadExampleSpec(k=k))
             inst = build_lp(ds, grid_of(ds))
-            vec = inst.embed(bad_example_fractional(spec))
-            assert inst.violation(vec) <= 1e-9
+            for d in (0.025, 0.25, 0.5, 0.9):
+                vec = inst.embed(bad_example_fractional(BadExampleSpec(k=k, delta=d)))
+                assert inst.violation(vec) <= 1e-9, (k, d)
 
     def test_objective_value(self):
         spec = BadExampleSpec(k=3, delta=0.2)
         point = bad_example_fractional(spec)
         k, d = 3, 0.2
         assert point.objective == pytest.approx(2 * k**3 + k**2 + (1 - d) * k)
+        for k in range(2, 9):
+            for d in (0.025, 0.25, 0.5, 0.9):
+                spec = BadExampleSpec(k=k, delta=d)
+                ds = bad_example(spec)
+                first, second = (revenue(ds, v) for v in bad_example_optimal_vectors(spec))
+                expected = d * first + (1 - d) * second
+                assert bad_example_fractional(spec).objective == pytest.approx(
+                    expected, rel=1e-12, abs=0), (k, d)

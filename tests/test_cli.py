@@ -302,6 +302,21 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("round", "--boost", "2", "boost"),
+        ("round", "--samples", "0", "num_samples"),
+        ("probe", "--boost", "1", "boost"),
+        ("probe", "--samples", "1", "at least 2"),
+    ])
+    def test_rounding_flags_checked_before_lp(self, dataset_file, tmp_path, capsys,
+                                              command, flag, value, message):
+        """Refused with exit 2 before the LP is built, so not as a size-guard refusal."""
+        out = tmp_path / "report.json"
+        assert run([command, "--dataset", dataset_file, "--max-subprofiles", "1",
+                    flag, value, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-subprofiles", "-5"),
         ("--brute-cap", "-1"),
