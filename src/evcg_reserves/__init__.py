@@ -17,7 +17,6 @@ from .auction import (
     kth_plus_one_bid,
     revenue,
     run_evcg,
-    winners_above,
     zero_reserves,
 )
 from .baselines import (
@@ -35,7 +34,6 @@ from .lp_model import (
     SubProfile,
     build_lp,
     encode_reserves,
-    enumerate_subprofiles,
     solve_lp,
 )
 from .rounding import (
@@ -71,13 +69,11 @@ __all__ = [
     "brute_force_opt",
     "build_lp",
     "encode_reserves",
-    "enumerate_subprofiles",
     "greedy_reserves",
     "kth_plus_one_bid",
     "revenue",
     "run_evcg",
     "solve_lp",
     "split_distributions",
-    "winners_above",
     "zero_reserves",
 ]

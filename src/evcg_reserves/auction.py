@@ -85,9 +85,6 @@ class BidDataset:
     def max_bid(self, buyer: int) -> int:
         return max(a.bids[buyer] for a in self.auctions)
 
-    def buyer_bids(self, buyer: int) -> tuple[int, ...]:
-        return tuple(a.bids[buyer] for a in self.auctions)
-
     @cached_property
     def _evaluator(self) -> _BatchEvaluator:
         # built once per dataset: every exact evaluation of it shares this one
@@ -247,19 +244,6 @@ def kth_plus_one_bid(dataset: BidDataset, auction_index: int) -> int:
         raise ValueError("kth_plus_one_bid requires an augmented dataset")
     bids = sorted(dataset.auctions[auction_index].bids, reverse=True)
     return bids[dataset.num_items]
-
-
-def winners_above(
-    dataset: BidDataset,
-    auction_index: int,
-    reserves: ReserveVector,
-    tau: int,
-) -> int:
-    """Number of winners whose payment is at least ``tau`` in one auction."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    outcome = run_evcg(dataset, auction_index, reserves)
-    return sum(1 for p in outcome.payments.values() if p >= tau)
 
 
 class _BatchEvaluator:

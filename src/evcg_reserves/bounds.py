@@ -136,13 +136,6 @@ def bernoulli_tail_lower(m: int, mu: float) -> float:
     return min(poisson_tail(m - i, mu - i) for i in range(m + 1))
 
 
-def expected_min2_lower(theta: float) -> float:
-    """Lower bound for E[min(X, 2)] / 2 when E[X] = 2 theta, 0 < theta < 2."""
-    if not 0.0 < theta < 2.0:
-        raise ValueError("theta must lie strictly between 0 and 2")
-    return 1.0 - (1.0 + theta) * math.exp(-2.0 * theta)
-
-
 def binomial_tail_integral(n: int, m: int, p: float) -> float:
     """Pr[Binomial(n, p) >= m] via the incomplete-beta integral identity.
 

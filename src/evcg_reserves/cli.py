@@ -4,9 +4,10 @@ Subcommands: gen {bad-example,random,correlated} | solve | round | bench |
 tables | verify | probe.  Each subcommand, and each gen kind, accepts only
 the flags it reads (see :func:`build_parser`); any other flag exits 2.
 Exit codes: 0 success, 2 validation error, unverified LP solve or I/O error,
-3 size-guard refusal, 4 tables-snapshot mismatch.  Reports are deterministic
-for a fixed seed; pass --timings to append wall-clock phase durations (which
-naturally vary between runs) to the written report.
+3 size-guard refusal or an allocation the machine refuses, 4 tables-snapshot
+mismatch.  Reports are deterministic for a fixed seed; pass --timings to
+append wall-clock phase durations (which naturally vary between runs) to the
+written report.
 """
 
 from __future__ import annotations
@@ -240,8 +241,7 @@ def cmd_tables(args) -> int:
             "snapshot": {"status": "match" if not problems else "mismatch",
                          "problems": problems},
         }
-        text = (json.dumps(doc, indent=2, sort_keys=True) + "\n"
-                if args.format == "json" else report.to_csv(doc))
+        text = report.render(doc, args.format)  # no methods, so no ratios are added
     _write_output(text, args.out)
     return EXIT_SNAPSHOT_MISMATCH if problems else EXIT_OK
 
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output path (default: stdout)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=_at_least(int, 0), default=0)
     lp = argparse.ArgumentParser(add_help=False, parents=[out])
     lp.add_argument("--dataset", required=True, help="dataset JSON file")
     lp.add_argument("--format", choices=("text", "json", "csv"), default="json")
@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SizeGuardError as exc:
+    except (SizeGuardError, MemoryError) as exc:  # MemoryError: numpy refused an allocation
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
     except (ValueError, LpSolveError, OSError) as exc:

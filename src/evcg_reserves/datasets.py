@@ -278,7 +278,11 @@ def correlated_dataset(
         bids = latent * factors
         if noise > 0:
             jitter = rng.normal(0.0, noise, size=num_buyers)
-            bids = np.maximum(0, np.rint(bids * (1.0 + jitter))).astype(np.int64)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                scaled = np.maximum(0, np.rint(bids * (1.0 + jitter)))
+            if not np.all(scaled < 2.0**63):  # also false for inf and nan
+                raise ValueError(f"noise {noise} scales a bid past the int64 range")
+            bids = scaled.astype(np.int64)
         auctions.append(AuctionColumn(1, tuple(int(b) for b in bids)))
     return BidDataset(
         num_items=num_items,

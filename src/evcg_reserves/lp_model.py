@@ -257,11 +257,6 @@ class LpInstance:
             return None
         return int(self.yp_first[auction, buyer]) + r_index
 
-    def to_standard_lp(self) -> lp_solver.StandardLp:
-        return lp_solver.StandardLp(
-            c=self.c, A_eq=self.A_eq, b_eq=self.b_eq, A_le=self.A_le, b_le=self.b_le,
-        )
-
     def violation(self, vec: np.ndarray) -> float:
         return lp_solver.feasibility_violation(self, vec)
 

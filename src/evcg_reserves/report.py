@@ -18,17 +18,18 @@ from .datasets import format_money, parse_money
 REFERENCE_LINES = {"rounding_guarantee": 0.63, "greedy_guarantee": 0.5}
 
 
-def make_report(command: str, dataset: BidDataset | None, config: dict[str, Any]) -> dict:
-    doc: dict[str, Any] = {"command": command, "config": dict(config)}
-    if dataset is not None:
-        doc["dataset"] = {
+def make_report(command: str, dataset: BidDataset, config: dict[str, Any]) -> dict:
+    return {
+        "command": command,
+        "config": dict(config),
+        "dataset": {
             "num_items": dataset.num_items,
             "num_real_buyers": dataset.num_real_buyers,
             "num_auctions": dataset.num_auctions,
             "scale": dataset.scale,
-        }
-    doc["methods"] = {}
-    return doc
+        },
+        "methods": {},
+    }
 
 
 def add_method(
@@ -36,16 +37,14 @@ def add_method(
     name: str,
     *,
     dataset: BidDataset,
-    reserves: tuple[int, ...] | None = None,
-    revenue: int | None = None,
+    reserves: tuple[int, ...],
+    revenue: int,
     extra: dict[str, Any] | None = None,
 ) -> None:
-    entry: dict[str, Any] = {}
-    if reserves is not None:
-        n = dataset.num_real_buyers
-        entry["reserves"] = [format_money(r, dataset.scale) for r in reserves[:n]]
-    if revenue is not None:
-        entry["revenue"] = format_money(revenue, dataset.scale)
+    entry: dict[str, Any] = {
+        "reserves": [format_money(r, dataset.scale) for r in reserves[:dataset.num_real_buyers]],
+        "revenue": format_money(revenue, dataset.scale),
+    }
     if extra:
         entry.update(extra)
     doc["methods"][name] = entry
@@ -104,13 +103,12 @@ def to_csv(doc: dict) -> str:
 
 
 def to_text(doc: dict) -> str:
-    lines = [f"command: {doc['command']}"]
-    if "dataset" in doc:
-        ds = doc["dataset"]
-        lines.append(
-            f"dataset: {ds['num_real_buyers']} buyers, {ds['num_auctions']} auctions, "
-            f"{ds['num_items']} items (scale {ds['scale']})"
-        )
+    ds = doc["dataset"]
+    lines = [
+        f"command: {doc['command']}",
+        f"dataset: {ds['num_real_buyers']} buyers, {ds['num_auctions']} auctions, "
+        f"{ds['num_items']} items (scale {ds['scale']})",
+    ]
     for key in sorted(doc.get("config", {})):
         lines.append(f"config.{key}: {doc['config'][key]}")
     if "lp" in doc:

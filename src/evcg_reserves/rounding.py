@@ -58,15 +58,14 @@ class SplitDistributions:
 
 
 def masses_matrix(
-    x_masses: dict[int, dict[int, float]] | list[dict[int, float]],
+    x_masses: dict[int, dict[int, float]],
     grid: ReserveGrid,
     num_buyers: int,
 ) -> np.ndarray:
     """Dense (buyers x grid) matrix from sparse per-buyer masses."""
     pos = {v: i for i, v in enumerate(grid.values)}
     out = np.zeros((num_buyers, len(grid)))
-    items = x_masses.items() if isinstance(x_masses, dict) else enumerate(x_masses)
-    for b, masses in items:
+    for b, masses in x_masses.items():
         for r, mass in masses.items():
             out[b, pos[r]] = mass
     return out

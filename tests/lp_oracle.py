@@ -24,6 +24,12 @@ from evcg_reserves.lp_model import (
 )
 
 
+def standard_lp(instance: LpInstance) -> lp_solver.StandardLp:
+    """The instance's full LP as assembled CSR rows."""
+    return lp_solver.StandardLp(c=instance.c, A_eq=instance.A_eq, b_eq=instance.b_eq,
+                                A_le=instance.A_le, b_le=instance.b_le)
+
+
 def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
     """The instance's LP over buyer-orbit totals, and its expansion.
 

@@ -15,7 +15,6 @@ from evcg_reserves.auction import (
     kth_plus_one_bid,
     revenue,
     run_evcg,
-    winners_above,
     zero_reserves,
 )
 from evcg_reserves.baselines import BadExampleSpec, bad_example
@@ -124,6 +123,12 @@ class TestKthPlusOne:
     def test_bad_example_third_column(self):
         ds = bad_example(BadExampleSpec(k=2))
         assert kth_plus_one_bid(ds, 2) == 2  # bids (0, 2, 2, 2) + aux
+
+
+def winners_above(ds, auction_index, reserves, tau) -> int:
+    """The batch evaluator's count on one reserve row, as ``probes`` reads it."""
+    ev = batch_evaluator(ds)
+    return int(ev.winners_above(auction_index, ev.row(reserves), tau)[0])
 
 
 class TestWinnersAbove:

@@ -15,7 +15,6 @@ from evcg_reserves.bounds import (
     build_snapshot,
     chernoff_tail_check,
     compare_snapshot,
-    expected_min2_lower,
     lambda_value,
     poisson_binomial_tail,
     poisson_tail,
@@ -194,15 +193,13 @@ class TestBernoulliTailLower:
 
 
 class TestExpectedMin2:
+    """``table2_lower`` at theta in (0, 2) bounds E[min(X, 2)] / 2 for E[X] = 2 theta."""
+
     def test_value(self):
-        assert expected_min2_lower(1.0) == pytest.approx(0.7293, abs=5e-5)
+        assert table2_lower(1.0) == pytest.approx(0.7293, abs=5e-5)
 
     def test_small_theta_limit(self):
-        assert expected_min2_lower(1e-9) == pytest.approx(0.0, abs=1e-8)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            expected_min2_lower(2.0)
+        assert table2_lower(1e-9) == pytest.approx(0.0, abs=1e-8)
 
     def test_dominated_by_exact_value(self):
         rng = np.random.Generator(np.random.Philox(34))
@@ -217,7 +214,7 @@ class TestExpectedMin2:
             p_ge2 = poisson_binomial_tail(means, 1)
             p_ge1 = poisson_binomial_tail(means, 0)
             exact = ((p_ge1 - p_ge2) + 2.0 * p_ge2) / 2.0
-            assert exact >= expected_min2_lower(theta) - 1e-12
+            assert exact >= table2_lower(theta) - 1e-12
             checked += 1
 
 

@@ -149,10 +149,10 @@ class TestBench:
         marginal chain over the assembled rows, checked on the CSR rows."""
         from evcg_reserves import lp_model, lp_solver
 
-        from .lp_oracle import marginal_form, symmetry_quotient
+        from .lp_oracle import marginal_form, standard_lp, symmetry_quotient
 
         def chain_solve(instance, *, tol_feas=1e-7):
-            result = lp_solver.solve(instance.to_standard_lp(), tol_feas=tol_feas,
+            result = lp_solver.solve(standard_lp(instance), tol_feas=tol_feas,
                                      quotient=marginal_form(instance, symmetry_quotient(instance)))
             s_parts, x_masses = instance.interpret(result.x)
             return lp_model.LpSolution(instance, result.objective, s_parts, x_masses, result.x,
@@ -345,6 +345,42 @@ class TestExitCodes:
             run(command + [flag, value, "--out", str(out)])
         assert exited.value.code == cli.EXIT_VALIDATION
         assert f"argument {flag}: {value!r} is not a finite number >=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "round", "probe", "gen random",
+                                         "gen correlated"])
+    def test_negative_seed_rejected(self, dataset_file, tmp_path, capsys, command):
+        """Refused while parsing: before the LP is solved, and also where the
+        size guard leaves ``bench`` no draw to make."""
+        argv = command.split()
+        if argv[0] != "gen":
+            argv += ["--dataset", dataset_file, "--max-subprofiles", "1"]
+        with pytest.raises(SystemExit) as exited:
+            run(argv + ["--seed", "-1", "--out", str(tmp_path / "out.json")])
+        assert exited.value.code == cli.EXIT_VALIDATION
+        assert "argument --seed" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
+
+    def test_refused_allocation_is_a_size_guard_exit(self, dataset_file, tmp_path,
+                                                     monkeypatch, capsys):
+        """A draw matrix the machine cannot hold exits 3, not with a traceback."""
+        from evcg_reserves import rounding
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 31.3 TiB for an array")
+
+        monkeypatch.setattr(rounding, "sample_matrix", refuse)
+        out = tmp_path / "bench.json"
+        assert run(["bench", "--dataset", dataset_file, "--out", str(out)]) == cli.EXIT_SIZE_GUARD
+        assert "size guard: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_correlated_noise_past_int64_refused(self, tmp_path, capsys):
+        """A scaled bid that is not finite or reaches 2^63 is refused before the int cast."""
+        out = tmp_path / "corr.json"
+        assert run(["gen", "correlated", "--noise", "1e308",
+                    "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "noise" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [

@@ -31,7 +31,7 @@ from evcg_reserves.lp_model import (
 )
 
 from .conftest import desk_instances, grid_of, make_dataset
-from .lp_oracle import marginal_form, symmetry_quotient
+from .lp_oracle import marginal_form, standard_lp, symmetry_quotient
 
 
 class TestEnumeration:
@@ -266,7 +266,7 @@ def wide_bid_instances(count: int, seed: int) -> list[BidDataset]:
 def non_candidate_columns(instance) -> np.ndarray:
     """Columns at a reserve that is neither 0 nor one of the column's buyer's bids."""
     ds, values = instance.dataset, instance.grid.values
-    own = [{0, *ds.buyer_bids(b)} for b in range(ds.num_buyers)]
+    own = [{0, *bids} for bids in zip(*(a.bids for a in ds.auctions))]
     out = np.zeros(instance.num_vars, dtype=bool)
     for col, (b, r) in enumerate(zip(instance.w_winner.tolist(), instance.w_r1.tolist())):
         out[col] = values[r] not in own[b]
@@ -286,7 +286,7 @@ def full_solve(instance) -> float:
     unreduced LPs 3-4x faster than dual simplex: 1.2-1.5 s against 4.9 s on
     ``bad_example(20)``'s 11,541 columns.
     """
-    lp = instance.to_standard_lp()
+    lp = standard_lp(instance)
     res = linprog(-lp.c, A_ub=lp.A_le, b_ub=lp.b_le, A_eq=lp.A_eq, b_eq=lp.b_eq,
                   bounds=(0, None), method="highs-ipm")
     assert res.status == 0, res.message
@@ -331,8 +331,8 @@ class TestSymmetryQuotient:
         for ds in instances:
             instance = build_lp(ds, grid_of(ds))
             vector = solve_lp(instance).vector
-            rows = [(ds.buyer_bids(b), bool((instance.x_cols[b] >= 0).any()))
-                    for b in range(ds.num_buyers)]
+            rows = [(bids, bool((instance.x_cols[b] >= 0).any()))
+                    for b, bids in enumerate(zip(*(a.bids for a in ds.auctions)))]
             for b in range(ds.num_buyers):
                 for c in range(b + 1, ds.num_buyers):
                     if rows[b] == rows[c]:  # same bids, same free/fixed status
@@ -348,9 +348,10 @@ class TestSymmetryQuotient:
             instance = build_lp(ds, grid_of(ds))
             orbit = buyer_orbits(instance)
             free = (instance.x_cols >= 0).any(axis=1)
+            bids = list(zip(*(a.bids for a in ds.auctions)))  # per buyer
             for b in range(ds.num_buyers):
                 for c in range(ds.num_buyers):
-                    same = ds.buyer_bids(b) == ds.buyer_bids(c) and free[b] == free[c]
+                    same = bids[b] == bids[c] and free[b] == free[c]
                     assert (orbit[b] == orbit[c]) == same
 
     def test_worst_case_quotient_size_is_constant(self):
@@ -384,7 +385,7 @@ class TestSymmetryQuotient:
         ds = bad_example(BadExampleSpec(k=4))
         instance = build_lp(ds, grid_of(ds))
         quotient = symmetry_quotient(instance)
-        lp = instance.to_standard_lp()
+        lp = standard_lp(instance)
         assert lp_solver.solve(lp, quotient=quotient).max_violation <= 1e-9
         unspread = quotient.expand.copy()
         unspread.data[:] = 1.0  # every member carries its orbit's total
@@ -534,7 +535,7 @@ class TestMarginalForm:
 
         monkeypatch.setattr(lp_solver, "linprog", perturbed)
         solution = solve_lp(instance)
-        violation = lp_solver.feasibility_violation(instance.to_standard_lp(),
+        violation = lp_solver.feasibility_violation(standard_lp(instance),
                                                     coupling @ seen["x"])
         assert solution.max_violation == violation and 0 < violation <= 1e-7
         supporter = block_columns(instance, quotient)[0]
@@ -598,7 +599,7 @@ class TestReducedLp:
         cases += wide_bid_instances(4, seed=127)
         for ds in cases:
             instance = build_lp(ds, grid_of(ds))
-            csr = instance.to_standard_lp()
+            csr = standard_lp(instance)
             solution = solve_lp(instance)
             x = solution.vector
             assert solution.max_violation == lp_solver.feasibility_violation(csr, x)

@@ -25,7 +25,7 @@ GRID_0_5_10 = ReserveGrid((0, 5, 10))
 
 
 def masses(grid: ReserveGrid, rows: list[dict[int, float]]) -> np.ndarray:
-    return masses_matrix(rows, grid, len(rows))
+    return masses_matrix(dict(enumerate(rows)), grid, len(rows))
 
 
 class TestSplit:
