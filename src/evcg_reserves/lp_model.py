@@ -629,7 +629,13 @@ def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
     every column valid, leaves (2'), (4), (5) and (6) as they were, adds as
     much to the left of (3) at r+ as to its right, and never lowers
     max(bid[b2], r1).  Orbit-mates share bids, so whole orbits go; a dropped
-    column expands to 0, and a row left without columns reads 0 <= rhs.
+    column expands to 0.
+
+    *No empty rows.*  A (3) row at a non-candidate reserve r reads only x[b,r],
+    the w with winner reserve r and y'[a,b,r], all dropped, so it reads
+    0 <= rhs.  Its rhs is 0 or 1, so it constrains nothing and is not
+    emitted.  At a candidate reserve below the bid the row reads y'[a,b,r],
+    so the (3) rows kept are exactly those.
 
     *Marginal form.*  A block is one auction and winner orbit; its quotient
     w columns pair every supporter orbit s (bid b_s) with every candidate
@@ -651,9 +657,10 @@ def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
     w columns, which run by auction, winner orbit, supporter orbit and r),
     then x by (orbit, r), then y' by (auction, orbit, r).  Rows: (2') per
     (auction, orbit), (6) per free orbit, a balance row per block and
-    regime; (3) per (auction, orbit, r) below the orbit's bid, (4) per pair
-    of orbits, (5) per auction.  Orbits, pairs of orbits and rows come in
-    the order of their first member in the instance's columns and rows.
+    regime; (3) per (auction, orbit, candidate r) below the orbit's bid,
+    (4) per pair of orbits, (5) per auction.  Orbits, pairs of orbits and
+    rows come in the order of their first member in the instance's columns
+    and rows.
     """
     ds, R = instance.dataset, len(instance.grid)
     A, n, k = ds.num_auctions, ds.num_buyers, ds.num_items
@@ -739,9 +746,10 @@ def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
     # rows: a representative reads the members of a w orbit that pair with it
     same = qo1 == qo2
     reads3 = (size[qo2] - same) * inv[:num_qw]  # (3)'s coefficient on each w orbit
-    row3_start = (np.cumsum(n_le) - n_le.ravel()).reshape(A, m)
-    num3 = int(n_le.sum())
-    row3, y_row3 = row3_start[qa, qo1] + qr, row3_start[y_a, y_o] + y_r
+    row3_start = (np.cumsum(n_cand) - n_cand.ravel()).reshape(A, m)
+    num3 = int(n_cand.sum())
+    row3 = row3_start[qa, qo1] + below[qo1, qr]
+    y_row3 = row3_start[y_a, y_o] + below[y_o, y_r]
     # a (3) row reads a block through p if the block has one reserve, else through u
     p_row3 = n_cand[qa, qo1] == 1
     u_row3 = ~p_row3[u_first]
@@ -775,7 +783,7 @@ def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
             A_eq=_csr(eq, (A * m + num_free + len(firsts), num_cols)),
             b_eq=np.concatenate([np.zeros(A * m), np.ones(num_free), np.zeros(len(firsts))]),
             A_le=_csr(le, (num3 + num_pairs + A, num_cols)),
-            b_le=np.concatenate([np.repeat(np.tile(~free, A), n_le.ravel()).astype(float),
+            b_le=np.concatenate([np.repeat(np.tile(~free, A), n_cand.ravel()).astype(float),
                                  np.zeros(num_pairs), np.full(A, float(k))]),
         ),
         # coupling order: supporters by bid, reserves by value, both descending

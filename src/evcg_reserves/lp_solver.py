@@ -6,7 +6,10 @@ is the one place that accepts or rejects a solve: it returns a point only
 when HiGHS proves it optimal, the point is feasible when re-verified from the
 full rows, and HiGHS's objective agrees with ``c . x``.  Given a
 :class:`Quotient`, HiGHS solves the smaller LP and the checks run on its
-expanded point against the full LP's rows.  Solves are deterministic for
+expanded point against the full LP's rows.  HiGHS runs dual simplex with
+Devex pricing and presolve off: the LP it is handed carries no empty rows
+(``lp_model.reduced_lp`` does not emit them), and on that LP presolve costs
+more time than its remaining reductions save.  Solves are deterministic for
 identical input.
 """
 
@@ -76,9 +79,9 @@ class SolveResult:
     """A verified optimum; ``objective`` is ``c . x``.
 
     ``x``, ``objective`` and ``max_violation`` refer to the full LP;
-    ``iterations`` counts HiGHS's dual simplex iterations on the LP it
-    solved, ``Quotient.lp`` with a :class:`Quotient` (the marginal form for
-    ``lp_model.solve_lp``).
+    ``iterations`` counts HiGHS's dual simplex iterations (Devex pricing,
+    presolve off) on the LP it solved, ``Quotient.lp`` with a
+    :class:`Quotient` (the marginal form for ``lp_model.solve_lp``).
     """
 
     x: np.ndarray
@@ -115,6 +118,9 @@ def solve(
 ) -> SolveResult:
     """Solve by HiGHS's dual simplex and return the optimum only once it is verified.
 
+    HiGHS prices by Devex and runs without presolve: the marginal form
+    carries no empty rows, and presolve's other reductions there save less
+    time than presolve takes.
     With a ``quotient``, HiGHS solves ``quotient.lp`` and ``x`` is its point
     expanded into ``lp``'s columns; the checks below read ``lp`` alone,
     through its ``c`` and :func:`feasibility_violation`, so ``lp`` then need
@@ -137,7 +143,7 @@ def solve(
         b_eq=solved.b_eq,
         bounds=(0, None),
         method="highs",
-        options={"presolve": True},
+        options={"presolve": False, "simplex_dual_edge_weight_strategy": "devex"},
     )
     highs = f"(status {res.status}: {res.message})"
     if res.status != 0:

@@ -2,7 +2,8 @@
 
 ``symmetry_quotient`` reduces an assembled instance's full CSR rows by sparse
 products, ``marginal_form`` rewrites the quotient's rows over each block's two
-marginals.  ``reduced_lp`` emits the same LP straight from buyer orbits; the
+marginals, and ``without_empty_rows`` drops the inequality rows left reading
+no column.  ``reduced_lp`` emits the same LP straight from buyer orbits; the
 tests check that both agree array for array.
 """
 
@@ -52,7 +53,7 @@ def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
     (5) and (6) as they were, adds as much to the left of (3) at r+ as to
     its right, and never lowers max(bid[b2], r1).  Orbit-mates share bids,
     so whole orbits go; a dropped column is an empty row of P, so it
-    expands to 0, and a row left without columns reads 0 <= 0.
+    expands to 0, and a row left without columns reads 0 <= rhs.
     """
     ds = instance.dataset
     orbit = buyer_orbits(instance)
@@ -186,3 +187,18 @@ def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solv
         expand=Coupling(spread, w_p, w_u, p_group, _rank_within(p_group, -pv), p_supporter,
                         u_group, _rank_within(u_group, -uv), uv),
     )
+
+
+def without_empty_rows(quotient: lp_solver.Quotient) -> tuple[lp_solver.Quotient, np.ndarray]:
+    """The LP without its inequality rows that read no column, and those rows.
+
+    A removed row reads ``0 <= rhs``; the caller checks that it constrains
+    nothing.  The kept rows stay in their order.
+    """
+    lp = quotient.lp
+    empty = lp.A_le.getnnz(axis=1) == 0
+    return lp_solver.Quotient(
+        lp=lp_solver.StandardLp(c=lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                                A_le=lp.A_le[~empty], b_le=lp.b_le[~empty]),
+        expand=quotient.expand,
+    ), np.flatnonzero(empty)

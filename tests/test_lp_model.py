@@ -12,6 +12,7 @@ from evcg_reserves.auction import (
     AuctionColumn,
     BidDataset,
     add_auxiliary_buyers,
+    candidate_mask,
     revenue,
     zero_reserves,
 )
@@ -31,7 +32,7 @@ from evcg_reserves.lp_model import (
 )
 
 from .conftest import desk_instances, grid_of, make_dataset
-from .lp_oracle import marginal_form, standard_lp, symmetry_quotient
+from .lp_oracle import marginal_form, standard_lp, symmetry_quotient, without_empty_rows
 
 
 class TestEnumeration:
@@ -154,7 +155,8 @@ class TestBuildAndSolve:
             assert sol.objective >= best - 1e-6
 
     def test_method_follows_item_count(self, monkeypatch):
-        """One method at every item count: dual simplex, on either side of k = 8."""
+        """One method at every item count: dual simplex with Devex pricing and
+        presolve off, on either side of k = 8."""
         calls = []
         real = lp_solver.linprog
 
@@ -166,9 +168,10 @@ class TestBuildAndSolve:
         for k in (7, 8):
             ds = bad_example(BadExampleSpec(k=k))
             solve_lp(build_lp(ds, grid_of(ds)))
+        options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
         assert calls == [
-            {"bounds": (0, None), "method": "highs", "options": {"presolve": True}},
-            {"bounds": (0, None), "method": "highs", "options": {"presolve": True}},
+            {"bounds": (0, None), "method": "highs", "options": options},
+            {"bounds": (0, None), "method": "highs", "options": options},
         ]
 
     def test_solver_objective_disagreeing_with_point_raises(self, monkeypatch,
@@ -570,11 +573,16 @@ class TestReducedLp:
     solve checks the full rows without assembling them."""
 
     def test_matches_quotient_chain(self):
-        """Array for array, so HiGHS takes the same path; the sizes the
-        report gives are the assembled matrices' shapes."""
+        """Array for array, once the chain's rows that read no column are
+        gone, so HiGHS takes the same path; each of those rows reads
+        0 <= rhs with rhs >= 0.  The sizes the report gives are the
+        assembled matrices' shapes."""
         for ds in oracle_instances():
             instance = build_lp(ds, grid_of(ds))
-            oracle = marginal_form(instance, symmetry_quotient(instance))
+            chain = marginal_form(instance, symmetry_quotient(instance))
+            oracle, removed = without_empty_rows(chain)
+            assert chain.lp.A_le[removed].nnz == 0
+            assert (chain.lp.b_le[removed] >= 0).all()
             reduced = reduced_lp(instance)
             for name in ("c", "b_eq", "b_le"):
                 assert np.array_equal(getattr(reduced.lp, name), getattr(oracle.lp, name)), name
@@ -589,6 +597,24 @@ class TestReducedLp:
                 objective=0.0, iterations=0, max_violation=0.0))
             assert (section["variables"], section["equality_rows"], section["inequality_rows"]) \
                 == (instance.A_eq.shape[1], instance.A_eq.shape[0], instance.A_le.shape[0])
+
+    def test_no_empty_rows(self):
+        """Every emitted row reads a column, and there is one (3) row per
+        (auction, orbit, candidate reserve below the orbit's bid), on the
+        oracle set: the benchmark instances and wide bids among them."""
+        for ds in oracle_instances():
+            instance = build_lp(ds, grid_of(ds))
+            lp = reduced_lp(instance).lp
+            assert (lp.A_eq.getnnz(axis=1) > 0).all()
+            assert (lp.A_le.getnnz(axis=1) > 0).all()
+            orbit = buyer_orbits(instance)
+            first = np.unique(orbit, return_index=True)[1]
+            candidate = candidate_mask(ds, instance.grid)
+            n_cand = sum(int(candidate[b, :instance.n_le[a, b]].sum())
+                         for a in range(ds.num_auctions) for b in first)
+            pa, pw, ps = np.nonzero(instance.w_first >= 0)
+            num_pairs = len(np.unique(np.column_stack([pa, orbit[pw], orbit[ps]]), axis=0))
+            assert lp.A_le.shape[0] == n_cand + num_pairs + ds.num_auctions
 
     def test_full_row_check_matches_csr(self):
         """The check sums each full row in column order from the index arrays:
