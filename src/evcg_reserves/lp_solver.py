@@ -1,30 +1,61 @@
 """General-purpose linear-program maximizer.
 
-Thin, solver-neutral layer over scipy's HiGHS backend: maximize ``c . x``
-subject to sparse equality and inequality rows with ``x >= 0``.  :func:`solve`
-is the one place that accepts or rejects a solve: it returns a point only
-when HiGHS proves it optimal, the point is feasible when re-verified from the
-full rows, and HiGHS's objective agrees with ``c . x``.  Given a
-:class:`Quotient`, HiGHS solves the smaller LP and the checks run on its
-expanded point against the full LP's rows.  HiGHS runs dual simplex with
+Thin layer over the HiGHS solver bundled with scipy: maximize ``c . x``
+subject to sparse equality and inequality rows with ``x >= 0``.
+:func:`solve` is the one place that accepts or rejects a solve: it returns a
+point only when HiGHS proves it optimal, the point is feasible when
+re-verified from the full rows, and HiGHS's objective agrees with ``c . x``.
+Given a :class:`Quotient`, HiGHS solves the smaller LP and the checks run on
+its expanded point against the full LP's rows.  HiGHS runs dual simplex with
 Devex pricing and presolve off: the LP it is handed carries no empty rows
 (``lp_model.reduced_lp`` does not emit them), and on that LP presolve costs
 more time than its remaining reductions save.  Solves are deterministic for
 identical input.
+
+:func:`linprog` hands the LP to HiGHS through scipy's bundled binding
+(``scipy.optimize._highspy._core``, as in scipy 1.17, the version floor)
+as numpy arrays, skipping the per-column Python work that
+``scipy.optimize.linprog`` does around the same solve.  That module is
+private, so ``tests/test_lp_model.py`` pins the point, objective and
+iteration count to ``scipy.optimize.linprog``'s bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+    simplex_constants,
+)
 
 from .errors import LpSolveError
 
 OBJECTIVE_TOL = 1e-9  # relative gap allowed between HiGHS's objective and c . x
+
+_HIGHS_OPTIONS = (
+    ("output_flag", False),  # else HiGHS prints its banner and log to stdout
+    ("presolve", "off"),
+    ("simplex_dual_edge_weight_strategy",
+     simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex),
+)
+
+# scipy.optimize.linprog's status codes; every other model status is 4
+_STATUS_CODES = {
+    HighsModelStatus.kOptimal: (0, "Optimization terminated successfully."),
+    HighsModelStatus.kIterationLimit: (1, "Iteration limit reached."),
+    HighsModelStatus.kTimeLimit: (1, "Time limit reached."),
+    HighsModelStatus.kInfeasible: (2, "The problem is infeasible."),
+    HighsModelStatus.kUnbounded: (3, "The problem is unbounded."),
+}
 
 
 @dataclass
@@ -110,6 +141,54 @@ def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
     return worst
 
 
+def _highs_error(step: str) -> SimpleNamespace:
+    return SimpleNamespace(status=4, message=f"HiGHS {step} returned an error.",
+                           x=None, fun=None, nit=0)
+
+
+def linprog(lp: StandardLp) -> SimpleNamespace:
+    """Minimize ``-c . x`` over ``lp`` by HiGHS; the fields of scipy's ``linprog`` result.
+
+    One HiGHS object, set to ``_HIGHS_OPTIONS``, is handed the LP once as
+    numpy arrays, rows stacked as ``scipy.optimize.linprog`` stacks them
+    (``A_le`` over ``A_eq``).  ``status`` is 0 only when HiGHS proves the
+    point optimal; otherwise it is ``linprog``'s code (1 iteration or time
+    limit, 2 infeasible, 3 unbounded, 4 anything else, including a HiGHS call
+    that returns an error) and ``x`` and ``fun`` are None.  ``message`` ends
+    with HiGHS's model status, and ``nit`` counts simplex iterations.
+    """
+    n = len(lp.c)
+    empty = sp.csr_matrix((0, n)), np.zeros(0)
+    A_le, b_le = empty if lp.A_le is None else (lp.A_le, lp.b_le)
+    A_eq, b_eq = empty if lp.A_eq is None else (lp.A_eq, lp.b_eq)
+    A = sp.vstack((A_le, A_eq), format="csc")
+    highs = _Highs()
+    for name, value in _HIGHS_OPTIONS:
+        if highs.setOptionValue(name, value) == HighsStatus.kError:
+            return _highs_error(f"option {name}")
+    if highs.passModel(
+            n, A.shape[0], A.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+            -lp.c, np.zeros(n), np.full(n, np.inf),
+            np.concatenate((np.full(len(b_le), -np.inf), b_eq)), np.concatenate((b_le, b_eq)),
+            A.indptr[:n].astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
+            A.data.astype(float, copy=False), np.zeros(n, dtype=np.int32),
+    ) == HighsStatus.kError:
+        return _highs_error("passModel")
+    if highs.run() == HighsStatus.kError:
+        return _highs_error("run")
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    status, text = _STATUS_CODES.get(model_status, (4, "No proven optimum."))
+    optimal = status == 0
+    return SimpleNamespace(
+        status=status,
+        message=f"{text} (HiGHS: {highs.modelStatusToString(model_status)})",
+        x=np.array(highs.getSolution().col_value) if optimal else None,
+        fun=info.objective_function_value if optimal else None,
+        nit=info.simplex_iteration_count,
+    )
+
+
 def solve(
     lp: StandardLp,
     *,
@@ -135,16 +214,7 @@ def solve(
     if not 0.0 <= tol_feas < np.inf:
         raise ValueError(f"tol_feas must be a finite number >= 0, not {tol_feas!r}")
     solved = lp if quotient is None else quotient.lp
-    res = linprog(
-        -solved.c,
-        A_ub=solved.A_le,
-        b_ub=solved.b_le,
-        A_eq=solved.A_eq,
-        b_eq=solved.b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={"presolve": False, "simplex_dual_edge_weight_strategy": "devex"},
-    )
+    res = linprog(solved)
     highs = f"(status {res.status}: {res.message})"
     if res.status != 0:
         raise LpSolveError(f"solver did not reach a proven optimum {highs}")

@@ -137,6 +137,13 @@ class TestBench:
         doc = json.loads(out.read_text())
         assert "skipped" in doc["methods"]["brute_force"]
 
+    def test_json_to_stdout_alone(self, dataset_file, capfd):
+        """Without --out the report is all that reaches stdout: one JSON
+        document, no solver log."""
+        assert run(["bench", "--dataset", dataset_file, "--format", "json"]) == cli.EXIT_OK
+        out, err = capfd.readouterr()
+        assert json.loads(out)["methods"] and err == ""
+
     def test_deterministic_repeat(self, dataset_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["bench", "--dataset", dataset_file, "--seed", "5", "--samples", "16"]
@@ -294,6 +301,24 @@ class TestExitCodes:
                 status=status, message=message, x=None, fun=None, nit=0))
             assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
             assert f"(status {status}: {message})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound, status", [(-1.0, "status 2: The problem is infeasible"),
+                                               (None, "status 3: The problem is unbounded")])
+    def test_solver_failure_through_highs(self, dataset_file, monkeypatch, capsys,
+                                          bound, status):
+        """The dataset's LP replaced by one HiGHS really finds infeasible
+        (x <= -1) or unbounded (no row): exit 2 with HiGHS's status."""
+        import numpy as np
+        import scipy.sparse as sp
+
+        from evcg_reserves import lp_model, lp_solver
+
+        rows = {} if bound is None else {"A_le": sp.csr_matrix([[1.0]]),
+                                         "b_le": np.array([bound])}
+        lp = lp_solver.StandardLp(c=np.array([1.0]), **rows)
+        monkeypatch.setattr(lp_model, "reduced_lp", lambda instance: lp_solver.Quotient(lp, None))
+        assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
+        assert f"({status}." in capsys.readouterr().err
 
     def test_bench_rounding_flags_checked_without_lp(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -155,24 +155,24 @@ class TestBuildAndSolve:
             assert sol.objective >= best - 1e-6
 
     def test_method_follows_item_count(self, monkeypatch):
-        """One method at every item count: dual simplex with Devex pricing and
-        presolve off, on either side of k = 8."""
+        """One method at every item count: the HiGHS object runs dual simplex
+        with Devex pricing, presolve off and output off, on either side of
+        k = 8."""
+        names = ("output_flag", "presolve", "simplex_dual_edge_weight_strategy")
         calls = []
-        real = lp_solver.linprog
 
-        def recording(*args, **kwargs):
-            calls.append({key: kwargs[key] for key in ("bounds", "method", "options")})
-            return real(*args, **kwargs)
+        class Recording(lp_solver._Highs):
+            def run(self):
+                calls.append({name: self.getOptionValue(name)[1] for name in names})
+                return super().run()
 
-        monkeypatch.setattr(lp_solver, "linprog", recording)
+        monkeypatch.setattr(lp_solver, "_Highs", Recording)
         for k in (7, 8):
             ds = bad_example(BadExampleSpec(k=k))
             solve_lp(build_lp(ds, grid_of(ds)))
-        options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
-        assert calls == [
-            {"bounds": (0, None), "method": "highs", "options": options},
-            {"bounds": (0, None), "method": "highs", "options": options},
-        ]
+        options = {"output_flag": False, "presolve": "off",
+                   "simplex_dual_edge_weight_strategy": 1}  # 1: Devex
+        assert calls == [options, options]
 
     def test_solver_objective_disagreeing_with_point_raises(self, monkeypatch,
                                                             two_bidder_k1):
@@ -295,6 +295,31 @@ def full_solve(instance) -> float:
     assert res.status == 0, res.message
     assert lp_solver.feasibility_violation(lp, res.x) <= 1e-7
     return float(lp.c @ res.x)
+
+
+def test_solve_matches_public_linprog():
+    """``lp_solver`` reaches HiGHS through scipy's private binding; on the
+    oracle set and near k = 70-80, where presolve off is least accurate, its
+    point, objective and iterations equal those of the public
+    ``scipy.optimize.linprog`` with the same options, bit for bit.  The
+    worst full-row violation there (1.44e-9 at k = 69) keeps a margin to
+    ``tol_feas``."""
+    cases = oracle_instances() + [bad_example(BadExampleSpec(k=k)) for k in (69, 77, 80)]
+    for i, ds in enumerate(cases):
+        instance = build_lp(ds, grid_of(ds))
+        quotient = reduced_lp(instance)
+        lp = quotient.lp
+        public = linprog(-lp.c, A_ub=lp.A_le, b_ub=lp.b_le, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                         bounds=(0, None), method="highs",
+                         options={"presolve": False, "simplex_dual_edge_weight_strategy": "devex"})
+        private = lp_solver.linprog(lp)
+        assert private.status == public.status == 0, i
+        assert np.array_equal(private.x, public.x) and private.fun == public.fun, i
+        result = lp_solver.solve(instance, quotient=quotient)
+        x = quotient.expand @ public.x
+        assert np.array_equal(result.x, x) and result.objective == float(instance.c @ x), i
+        assert result.iterations == private.nit == public.nit, i
+        assert result.max_violation <= 1e-8, i
 
 
 def transposition(instance, b: int, c: int) -> np.ndarray:

@@ -32,12 +32,14 @@ def test_equality_constrained():
 
 
 def test_unbounded():
+    """maximize x with -x <= 1 and x >= 0, through the real HiGHS call."""
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[-1.0]]), b_le=np.array([1.0]))
     with pytest.raises(LpSolveError, match="status 3: The problem is unbounded"):
         solve(lp)
 
 
 def test_infeasible():
+    """x <= -1 with x >= 0, through the real HiGHS call."""
     lp = StandardLp(
         c=np.array([1.0]),
         A_le=sp.csr_matrix([[1.0]]), b_le=np.array([-1.0]),
@@ -111,6 +113,30 @@ def test_numerical_failure_raises(monkeypatch):
             status=status, message=message, x=None, fun=None, nit=0))
         with pytest.raises(LpSolveError, match=f"status {status}: {message}"):
             solve(lp)
+
+
+def test_highs_call_error_raises(monkeypatch):
+    """A HiGHS call that returns an error, here passModel refusing a
+    coefficient of 1e16, is status 4 and raises."""
+    lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1e16]]), b_le=np.array([3.0]))
+    with pytest.raises(LpSolveError, match="status 4: HiGHS passModel returned an error"):
+        solve(lp)
+    lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
+    for step in ("setOptionValue", "run"):
+        failing = type("Failing", (lp_solver._Highs,),
+                       {step: lambda self, *args: lp_solver.HighsStatus.kError})
+        monkeypatch.setattr(lp_solver, "_Highs", failing)
+        with pytest.raises(LpSolveError, match="status 4: HiGHS .* returned an error"):
+            solve(lp)
+
+
+def test_solve_prints_nothing(capfd):
+    """HiGHS logs to stdout unless told not to, and ``bench`` and ``solve``
+    write their reports there."""
+    rng = np.random.Generator(np.random.Philox(7))
+    lp, _ = _planted_lp(rng, 8, 6)
+    solve(lp)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_infeasible_point_raises(monkeypatch):
