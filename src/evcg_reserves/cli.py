@@ -13,6 +13,7 @@ written report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,6 +356,7 @@ def _at_least(kind: type, low: int):
     return parse
 
 
+@functools.cache  # built once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evcg-reserves",

@@ -427,25 +427,28 @@ def build_lp(
     values = np.array([min(v, top + 1) for v in grid.values], dtype=np.int64)
     n_le = np.searchsorted(values, bids, side="right")  # grid values clearing each bid
 
-    # (winner, supporter) pairs in (auction, winner, supporter) order
-    pairs = (bids[:, :, None] >= bids[:, None, :]) & ~np.eye(n, dtype=bool)
-    pa, pw, ps = np.nonzero(pairs)
-    allocated = np.cumsum(n_le[pa, pw])  # winner-side sub-profiles (w columns) so far
+    # winner-side sub-profiles (w columns) per auction, counted from the sorted
+    # bids: each winner's n_le times the other buyers bidding at most its bid
+    ordered = np.sort(bids, axis=1)
+    supporters = np.array([np.searchsorted(row, b, side="right") for row, b in zip(ordered, bids)])
+    allocated = np.cumsum((n_le * (supporters - 1)).sum(axis=1))
     if len(allocated) and allocated[-1] > max_subprofiles:
-        a = int(pa[np.argmax(allocated > max_subprofiles)])
-        first = int(np.searchsorted(pa, a))
-        budget = max_subprofiles - (int(allocated[first - 1]) if first else 0)
+        a = int(np.argmax(allocated > max_subprofiles))
+        budget = max_subprofiles - (int(allocated[a - 1]) if a else 0)
         raise SizeGuardError(
             f"auction {a}: sub-profile count exceeds {budget}; raise the budget to proceed"
         )
 
+    # (winner, supporter) pairs in (auction, winner, supporter) order
+    pa, pw, ps = np.nonzero((bids[:, :, None] >= bids[:, None, :]) & ~np.eye(n, dtype=bool))
+    per_pair = n_le[pa, pw]
     # w columns: one per pair and winner reserve below the winner's bid
-    col_pair = np.repeat(np.arange(len(pa)), n_le[pa, pw])
-    col_r1 = _ranges(n_le[pa, pw])
+    col_pair = np.repeat(np.arange(len(pa)), per_pair)
+    col_r1 = _ranges(per_pair)
     col_a, col_w, col_s = pa[col_pair], pw[col_pair], ps[col_pair]
     num_w = len(col_pair)
     w_first = np.full((A, n, n), -1, dtype=np.int64)
-    w_first[pa, pw, ps] = allocated - n_le[pa, pw]
+    w_first[pa, pw, ps] = np.cumsum(per_pair) - per_pair
 
     # auxiliary buyers and buyers bidding 0 everywhere stay at reserve 0
     free_buyers = [b for b in range(dataset.num_real_buyers) if dataset.max_bid(b) > 0]
@@ -674,18 +677,14 @@ def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
     n_cand = below[np.arange(m), n_le]  # (auction, orbit) -> candidates clearing the bid
     cand_r = np.argsort(~candidate, axis=1, kind="stable")  # (orbit, i) -> i-th candidate
 
-    # pairs of orbits: a winner orbit's first member and the supporter orbit's
-    # first member (its own second one for the same orbit), the orbit pair's
-    # first member pair, ordered as the instance orders the pairs
-    second = np.full(m, -1)
-    by_orbit = np.argsort(orbit, kind="stable")
-    second[size > 1] = by_orbit[(np.cumsum(size) - size)[size > 1] + 1]
-    partner = np.where(np.eye(m, dtype=bool), second[:, None], first[None, :])
-    has = partner >= 0
-    valid = has & (instance.w_first[:, first[:, None], np.where(has, partner, 0)] >= 0)
-    by_partner = np.argsort(np.where(has, partner, n), axis=1, kind="stable")
-    pa, po1, t = np.nonzero(valid[:, np.arange(m)[:, None], by_partner])
-    po2 = by_partner[po1, t]
+    # pairs of orbits, numbered by their first member pair in the instance's
+    # (auction, winner, supporter) order; that pair is among each orbit's
+    # first two members, so only those are listed
+    two = np.flatnonzero(_rank_within(orbit, np.arange(n)) < 2)
+    ta, tw, ts = np.nonzero(instance.w_first[:, two[:, None], two] >= 0)
+    to1, to2 = orbit[two[tw]], orbit[two[ts]]
+    pair_first = _orbits((ta * m + to1) * m + to2)[1]
+    pa, po1, po2 = ta[pair_first], to1[pair_first], to2[pair_first]
     num_pairs = len(pa)
     pair_at = np.full((A, m, m), -1)
     pair_at[pa, po1, po2] = np.arange(num_pairs)
@@ -757,10 +756,8 @@ def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
     sup_per = n_cand[pa, po2]  # the supporter orbit's y' columns in a (4) row
     sup_pair = np.repeat(np.arange(num_pairs), sup_per)
     sup_q = y_start[pa, po2][sup_pair] + _ranges(sup_per)
-    # a (2') row meets its p in the order of its winner's first member, then r
-    q = p_first[np.lexsort((qr[p_first], partner[qo2, qo1][p_first]))]
     eq = [  # (2'): p, y'; (6): x; balance: p, u
-        (qa[q] * m + qo2[q], w_p[q], -(size[qo1] - same)[q] * inv[q]),
+        (qa[p_first] * m + qo2[p_first], p_cols, -(size[qo1] - same)[p_first] * inv[p_first]),
         (y_a * m + y_o, shift + y_q, float(k) * inv[y_q]),
         (A * m + np.cumsum(free)[x_orbit] - 1, shift + x_q, inv[x_q]),
         (A * m + num_free + p_group, p_cols, 1.0),

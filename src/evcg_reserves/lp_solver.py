@@ -23,7 +23,6 @@ iteration count to ``scipy.optimize.linprog``'s bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -47,16 +46,6 @@ _HIGHS_OPTIONS = (
     ("simplex_dual_edge_weight_strategy",
      simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex),
 )
-
-# scipy.optimize.linprog's status codes; every other model status is 4
-_STATUS_CODES = {
-    HighsModelStatus.kOptimal: (0, "Optimization terminated successfully."),
-    HighsModelStatus.kIterationLimit: (1, "Iteration limit reached."),
-    HighsModelStatus.kTimeLimit: (1, "Time limit reached."),
-    HighsModelStatus.kInfeasible: (2, "The problem is infeasible."),
-    HighsModelStatus.kUnbounded: (3, "The problem is unbounded."),
-}
-
 
 @dataclass
 class StandardLp:
@@ -141,21 +130,28 @@ def feasibility_violation(lp: StandardLp, x: np.ndarray) -> float:
     return worst
 
 
-def _highs_error(step: str) -> SimpleNamespace:
-    return SimpleNamespace(status=4, message=f"HiGHS {step} returned an error.",
-                           x=None, fun=None, nit=0)
+@dataclass
+class HighsResult:
+    """What HiGHS returned for ``minimize -c . x``.
+
+    ``status`` is HiGHS's model status (``"Optimal"``, ``"Unbounded"``, ...)
+    or, when a HiGHS call returned an error, that call.  ``x`` and ``fun``
+    are the point and its objective when the status is optimal, else None;
+    ``nit`` counts simplex iterations.
+    """
+
+    status: str
+    x: np.ndarray | None = None
+    fun: float | None = None
+    nit: int = 0
 
 
-def linprog(lp: StandardLp) -> SimpleNamespace:
-    """Minimize ``-c . x`` over ``lp`` by HiGHS; the fields of scipy's ``linprog`` result.
+def linprog(lp: StandardLp) -> HighsResult:
+    """Minimize ``-c . x`` over ``lp`` by HiGHS.
 
     One HiGHS object, set to ``_HIGHS_OPTIONS``, is handed the LP once as
     numpy arrays, rows stacked as ``scipy.optimize.linprog`` stacks them
-    (``A_le`` over ``A_eq``).  ``status`` is 0 only when HiGHS proves the
-    point optimal; otherwise it is ``linprog``'s code (1 iteration or time
-    limit, 2 infeasible, 3 unbounded, 4 anything else, including a HiGHS call
-    that returns an error) and ``x`` and ``fun`` are None.  ``message`` ends
-    with HiGHS's model status, and ``nit`` counts simplex iterations.
+    (``A_le`` over ``A_eq``), so that HiGHS reads the same model.
     """
     n = len(lp.c)
     empty = sp.csr_matrix((0, n)), np.zeros(0)
@@ -165,7 +161,7 @@ def linprog(lp: StandardLp) -> SimpleNamespace:
     highs = _Highs()
     for name, value in _HIGHS_OPTIONS:
         if highs.setOptionValue(name, value) == HighsStatus.kError:
-            return _highs_error(f"option {name}")
+            return HighsResult(f"setOptionValue {name} returned an error")
     if highs.passModel(
             n, A.shape[0], A.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
             -lp.c, np.zeros(n), np.full(n, np.inf),
@@ -173,20 +169,16 @@ def linprog(lp: StandardLp) -> SimpleNamespace:
             A.indptr[:n].astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
             A.data.astype(float, copy=False), np.zeros(n, dtype=np.int32),
     ) == HighsStatus.kError:
-        return _highs_error("passModel")
+        return HighsResult("passModel returned an error")
     if highs.run() == HighsStatus.kError:
-        return _highs_error("run")
+        return HighsResult("run returned an error")
     model_status = highs.getModelStatus()
     info = highs.getInfo()
-    status, text = _STATUS_CODES.get(model_status, (4, "No proven optimum."))
-    optimal = status == 0
-    return SimpleNamespace(
-        status=status,
-        message=f"{text} (HiGHS: {highs.modelStatusToString(model_status)})",
-        x=np.array(highs.getSolution().col_value) if optimal else None,
-        fun=info.objective_function_value if optimal else None,
-        nit=info.simplex_iteration_count,
-    )
+    res = HighsResult(highs.modelStatusToString(model_status), nit=info.simplex_iteration_count)
+    if model_status == HighsModelStatus.kOptimal:
+        res.x = np.array(highs.getSolution().col_value)
+        res.fun = info.objective_function_value
+    return res
 
 
 def solve(
@@ -205,7 +197,7 @@ def solve(
     through its ``c`` and :func:`feasibility_violation`, so ``lp`` then need
     not carry matrices.
 
-    Raises :class:`LpSolveError`, carrying HiGHS's status and message, unless
+    Raises :class:`LpSolveError`, carrying HiGHS's model status, unless
     HiGHS reports optimal, :func:`feasibility_violation` of the point is at
     most ``tol_feas``, and HiGHS's objective matches ``c . x`` within
     ``OBJECTIVE_TOL``; there is no silently suboptimal return.  A negative
@@ -215,8 +207,8 @@ def solve(
         raise ValueError(f"tol_feas must be a finite number >= 0, not {tol_feas!r}")
     solved = lp if quotient is None else quotient.lp
     res = linprog(solved)
-    highs = f"(status {res.status}: {res.message})"
-    if res.status != 0:
+    highs = f"(HiGHS: {res.status})"
+    if res.x is None:
         raise LpSolveError(f"solver did not reach a proven optimum {highs}")
     u = np.asarray(res.x, dtype=float)
     x = u if quotient is None else quotient.expand @ u

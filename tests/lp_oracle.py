@@ -4,7 +4,8 @@
 products, ``marginal_form`` rewrites the quotient's rows over each block's two
 marginals, and ``without_empty_rows`` drops the inequality rows left reading
 no column.  ``reduced_lp`` emits the same LP straight from buyer orbits; the
-tests check that both agree array for array.
+tests check that both agree array for array, each row's entries compared in
+column order, and that HiGHS is handed the same arrays from both.
 """
 
 from __future__ import annotations

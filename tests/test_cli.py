@@ -291,19 +291,16 @@ class TestExitCodes:
             assert "dataset has no auctions" in capsys.readouterr().err
 
     def test_solver_numerical_failure(self, dataset_file, monkeypatch, capsys):
-        from types import SimpleNamespace
-
         from evcg_reserves import lp_solver
 
-        for status in (1, 2, 3, 4):
-            message = f"highs message {status}"
-            monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
-                status=status, message=message, x=None, fun=None, nit=0))
+        for status in ("Iteration limit reached", "Infeasible", "Unbounded",
+                       "run returned an error"):
+            monkeypatch.setattr(lp_solver, "linprog",
+                                lambda *args, **kwargs: lp_solver.HighsResult(status))
             assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
-            assert f"(status {status}: {message})" in capsys.readouterr().err
+            assert f"(HiGHS: {status})" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bound, status", [(-1.0, "status 2: The problem is infeasible"),
-                                               (None, "status 3: The problem is unbounded")])
+    @pytest.mark.parametrize("bound, status", [(-1.0, "Infeasible"), (None, "Unbounded")])
     def test_solver_failure_through_highs(self, dataset_file, monkeypatch, capsys,
                                           bound, status):
         """The dataset's LP replaced by one HiGHS really finds infeasible
@@ -318,7 +315,7 @@ class TestExitCodes:
         lp = lp_solver.StandardLp(c=np.array([1.0]), **rows)
         monkeypatch.setattr(lp_model, "reduced_lp", lambda instance: lp_solver.Quotient(lp, None))
         assert run(["solve", "--dataset", dataset_file]) == cli.EXIT_VALIDATION
-        assert f"({status}." in capsys.readouterr().err
+        assert f"(HiGHS: {status})" in capsys.readouterr().err
 
     def test_bench_rounding_flags_checked_without_lp(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -1,5 +1,6 @@
 """Sub-profile enumeration, LP assembly/solve, and integral encoding."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,6 +92,21 @@ class TestEnumeration:
             assert str(refused.value) == (
                 f"auction {last}: sub-profile count exceeds {left}; raise the budget to proceed")
 
+    def test_build_guard_refuses_before_pair_tables(self):
+        """A refused build allocates nothing of size auctions x buyers^2: on
+        1,003 buyers in 5 auctions the boolean (auction, winner, supporter)
+        table alone would take 5 MB, and the refusal traces under 4 MB."""
+        ds = add_auxiliary_buyers(random_dataset(1000, 5, 2, 0))
+        grid = grid_of(ds)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="auction 0: sub-profile count exceeds"):
+                build_lp(ds, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_wide_bid_dataset_admitted(self):
         """5.9M full sub-profiles used to be refused; its 182k w columns are not."""
         ds = add_auxiliary_buyers(random_dataset(12, 20, 3, 5, max_bid=200))
@@ -154,7 +170,7 @@ class TestBuildAndSolve:
             _, best = brute_force_opt(ds, grid)
             assert sol.objective >= best - 1e-6
 
-    def test_method_follows_item_count(self, monkeypatch):
+    def test_one_highs_configuration(self, monkeypatch):
         """One method at every item count: the HiGHS object runs dual simplex
         with Devex pricing, presolve off and output off, on either side of
         k = 8."""
@@ -313,7 +329,7 @@ def test_solve_matches_public_linprog():
                          bounds=(0, None), method="highs",
                          options={"presolve": False, "simplex_dual_edge_weight_strategy": "devex"})
         private = lp_solver.linprog(lp)
-        assert private.status == public.status == 0, i
+        assert private.status == "Optimal" and public.status == 0, i
         assert np.array_equal(private.x, public.x) and private.fun == public.fun, i
         result = lp_solver.solve(instance, quotient=quotient)
         x = quotient.expand @ public.x
@@ -589,6 +605,9 @@ def oracle_instances() -> list[BidDataset]:
 
 
 def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Same shape and entries, compared in canonical (sorted-index) storage:
+    HiGHS reads the rows stacked column-wise, never their in-row order."""
+    a, b = a.sorted_indices(), b.sorted_indices()
     return a.shape == b.shape and all(np.array_equal(getattr(a, part), getattr(b, part))
                                       for part in ("data", "indices", "indptr"))
 
@@ -597,12 +616,23 @@ class TestReducedLp:
     """reduced_lp emits the oracle chain's LP from buyer orbits, and the
     solve checks the full rows without assembling them."""
 
-    def test_matches_quotient_chain(self):
+    def test_matches_quotient_chain(self, monkeypatch):
         """Array for array, once the chain's rows that read no column are
         gone, so HiGHS takes the same path; each of those rows reads
-        0 <= rhs with rhs >= 0.  The sizes the report gives are the
-        assembled matrices' shapes."""
-        for ds in oracle_instances():
+        0 <= rhs with rhs >= 0.  Rows may list their entries in another
+        order, which HiGHS never reads: what linprog hands passModel (the
+        column-wise matrix, the costs, the column and row bounds) is equal
+        bit for bit.  The sizes the report gives are the assembled
+        matrices' shapes."""
+        passed = []
+
+        class Recording(lp_solver._Highs):
+            def passModel(self, *args):
+                passed.append(args)
+                return lp_solver.HighsStatus.kError  # stop before the solve
+
+        monkeypatch.setattr(lp_solver, "_Highs", Recording)
+        for i, ds in enumerate(oracle_instances()):
             instance = build_lp(ds, grid_of(ds))
             chain = marginal_form(instance, symmetry_quotient(instance))
             oracle, removed = without_empty_rows(chain)
@@ -613,6 +643,14 @@ class TestReducedLp:
                 assert np.array_equal(getattr(reduced.lp, name), getattr(oracle.lp, name)), name
             assert same_csr(reduced.lp.A_eq, oracle.lp.A_eq)
             assert same_csr(reduced.lp.A_le, oracle.lp.A_le)
+            for lp in (reduced.lp, oracle.lp):
+                assert lp_solver.linprog(lp).status == "passModel returned an error"
+            assert len(passed[-2]) == len(passed[-1]) == 15, i
+            for a, b in zip(*passed[-2:]):
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), i
+                else:
+                    assert a == b, i
             new, old = reduced.expand, oracle.expand
             assert same_csr(new.spread, old.spread)
             for name in ("w_p", "w_u", "p_group", "u_group", "p_count", "u_count", "p_at",

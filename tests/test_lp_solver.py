@@ -1,6 +1,6 @@
 """Solver layer: trivial programs, planted optima, independent verification."""
 
-from types import SimpleNamespace
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ def test_equality_constrained():
 def test_unbounded():
     """maximize x with -x <= 1 and x >= 0, through the real HiGHS call."""
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[-1.0]]), b_le=np.array([1.0]))
-    with pytest.raises(LpSolveError, match="status 3: The problem is unbounded"):
+    with pytest.raises(LpSolveError, match=r"\(HiGHS: Unbounded\)"):
         solve(lp)
 
 
@@ -44,7 +44,7 @@ def test_infeasible():
         c=np.array([1.0]),
         A_le=sp.csr_matrix([[1.0]]), b_le=np.array([-1.0]),
     )
-    with pytest.raises(LpSolveError, match="status 2: The problem is infeasible"):
+    with pytest.raises(LpSolveError, match=r"\(HiGHS: Infeasible\)"):
         solve(lp)
 
 
@@ -105,28 +105,29 @@ def test_reported_violation_matches_recomputation():
 
 
 def test_numerical_failure_raises(monkeypatch):
-    """Every HiGHS status but optimal (0) raises, carrying status and message."""
+    """Every HiGHS outcome without a point raises, carrying HiGHS's status."""
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
-    for status in (1, 2, 3, 4):
-        message = f"highs message {status}"
-        monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
-            status=status, message=message, x=None, fun=None, nit=0))
-        with pytest.raises(LpSolveError, match=f"status {status}: {message}"):
+    for status in ("Iteration limit reached", "Time limit reached", "Infeasible",
+                   "Unbounded", "Unknown"):
+        monkeypatch.setattr(lp_solver, "linprog",
+                            lambda *args, **kwargs: lp_solver.HighsResult(status))
+        with pytest.raises(LpSolveError, match=re.escape(f"(HiGHS: {status})")):
             solve(lp)
 
 
 def test_highs_call_error_raises(monkeypatch):
     """A HiGHS call that returns an error, here passModel refusing a
-    coefficient of 1e16, is status 4 and raises."""
+    coefficient of 1e16, raises and names the call."""
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1e16]]), b_le=np.array([3.0]))
-    with pytest.raises(LpSolveError, match="status 4: HiGHS passModel returned an error"):
+    with pytest.raises(LpSolveError, match=r"\(HiGHS: passModel returned an error\)"):
         solve(lp)
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
+    highs = lp_solver._Highs
     for step in ("setOptionValue", "run"):
-        failing = type("Failing", (lp_solver._Highs,),
+        failing = type("Failing", (highs,),
                        {step: lambda self, *args: lp_solver.HighsStatus.kError})
         monkeypatch.setattr(lp_solver, "_Highs", failing)
-        with pytest.raises(LpSolveError, match="status 4: HiGHS .* returned an error"):
+        with pytest.raises(LpSolveError, match=f"\\(HiGHS: {step} .*returned an error\\)"):
             solve(lp)
 
 
@@ -142,8 +143,8 @@ def test_solve_prints_nothing(capfd):
 def test_infeasible_point_raises(monkeypatch):
     """An 'optimal' point past tol_feas is rejected; the bound is inclusive."""
     lp = StandardLp(c=np.array([1.0]), A_le=sp.csr_matrix([[1.0]]), b_le=np.array([3.0]))
-    monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: SimpleNamespace(
-        status=0, message="optimal", x=np.array([3.5]), fun=-3.5, nit=1))
+    monkeypatch.setattr(lp_solver, "linprog", lambda *args, **kwargs: lp_solver.HighsResult(
+        "Optimal", x=np.array([3.5]), fun=-3.5, nit=1))
     violation = feasibility_violation(lp, np.array([3.5]))  # 0.5 / 7.5
     with pytest.raises(LpSolveError, match="violates constraints by 6.67e-02"):
         solve(lp, tol_feas=0.06)
