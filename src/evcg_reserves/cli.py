@@ -21,7 +21,7 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from . import baselines, bounds, datasets, lp_model, probes, report, rounding
+from . import baselines, datasets, lp_model, probes, report, rounding
 from .auction import (
     ReserveGrid,
     add_auxiliary_buyers,
@@ -197,6 +197,8 @@ def cmd_bench(args) -> int:
 
 
 def _format_table_text(computed: dict) -> str:
+    from . import bounds  # the only reader of scipy.integrate and scipy.special
+
     lines = []
     xs = bounds.TABLE1_X_COLUMNS
     lines.append("table 1: overflow-probability lower bounds (rows y, columns x)")
@@ -228,6 +230,8 @@ def load_snapshot() -> dict:
 
 
 def cmd_tables(args) -> int:
+    from . import bounds
+
     computed = bounds.build_snapshot()
     problems = bounds.compare_snapshot(computed, load_snapshot(), tol=args.tol)
     if args.format == "text":

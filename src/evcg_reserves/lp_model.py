@@ -37,14 +37,16 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp_solver
 from .auction import BidDataset, ReserveGrid, batch_evaluator, candidate_mask, validate_reserves
 from .errors import SizeGuardError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_MAX_SUBPROFILES = 500_000
 
@@ -214,9 +216,11 @@ class LpInstance:
 
     @cached_property
     def _matrices(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        import scipy.sparse as sp  # the solve path never assembles the full rows
+
         eq, le = self._row_parts()
-        return (_csr(eq, (len(self.b_eq), self.num_vars)),
-                _csr(le, (len(self.b_le), self.num_vars)))
+        return tuple(sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape) for A in (
+            _csr(eq, (len(self.b_eq), self.num_vars)), _csr(le, (len(self.b_le), self.num_vars))))
 
     @property
     def A_eq(self) -> sp.csr_matrix:
@@ -349,6 +353,8 @@ class LpInstance:
 
     def to_lp_text(self) -> str:
         """Dump in LP interchange format for cross-checking with external solvers."""
+        import scipy.sparse as sp
+
         names = self.var_names()
 
         def terms(row: sp.csr_matrix) -> str:
@@ -378,7 +384,7 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
 
 
 def _csr(parts: list[tuple[np.ndarray, np.ndarray | slice, np.ndarray | float]],
-         shape: tuple[int, int]) -> sp.csr_matrix:
+         shape: tuple[int, int]) -> lp_solver.Csr:
     """Sparse matrix from (rows, columns, values) triples, each row's entries in
     the order the triples give them; columns may be a slice."""
     rows = np.concatenate([r for r, _, _ in parts])
@@ -388,7 +394,7 @@ def _csr(parts: list[tuple[np.ndarray, np.ndarray | slice, np.ndarray | float]],
     data = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), r.shape)
                            for r, _, v in parts])[order]
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=shape[0]))]
-    return sp.csr_matrix((data, cols, indptr), shape=shape)
+    return lp_solver.Csr(data, cols, indptr, shape)
 
 
 def build_lp(
@@ -564,10 +570,11 @@ class Coupling:
     supporter and every reserve keeps its total, which is all the rows
     read, so ``lp_solver.solve``'s checks judge the result.  Coupled blocks
     and the other quotient columns are then spread by the quotient's
-    ``P D``.  The map is piecewise linear in ``v``, not a matrix.
+    ``P D``, a CSR matrix with at most one entry per full column.  The map
+    is piecewise linear in ``v``, not a matrix.
     """
 
-    def __init__(self, spread: sp.csr_matrix, w_p: np.ndarray, w_u: np.ndarray,
+    def __init__(self, spread: lp_solver.Csr, w_p: np.ndarray, w_u: np.ndarray,
                  p_group: np.ndarray, p_rank: np.ndarray, p_supporter: np.ndarray,
                  u_group: np.ndarray, u_rank: np.ndarray, u_reserve: np.ndarray) -> None:
         self.spread = spread          # the quotient's P D
@@ -604,7 +611,8 @@ class Coupling:
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        return self.spread @ np.concatenate([self.couple(v), v[self.n_p + self.n_u:]])
+        return lp_solver.matvec(self.spread, np.concatenate([self.couple(v),
+                                                             v[self.n_p + self.n_u:]]))
 
 
 def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
@@ -720,8 +728,8 @@ def reduced_lp(instance: LpInstance) -> lp_solver.Quotient:
     kept = np.concatenate([w_kept, candidate[orbit[xb], xr], candidate[yb, yr]])
     label = np.concatenate([w_label, x_start[orbit[xb]] + below[orbit[xb], xr],
                             y_start[yp_ab // n, yb] + below[yb, yr]])[kept]
-    spread = sp.csr_matrix((inv[label], label, np.r_[0, np.cumsum(kept)]),
-                           shape=(instance.num_vars, len(inv)))
+    spread = lp_solver.Csr(inv[label], label, np.r_[0, np.cumsum(kept)],
+                           (instance.num_vars, len(inv)))
     # sum each orbit's coefficients in column order, then divide once
     c_w = np.bincount(w_label[w_kept], weights=instance.c[: len(w_kept)][w_kept],
                       minlength=num_qw) / pair_size[w_pair]

@@ -18,43 +18,99 @@ as numpy arrays, skipping the per-column Python work that
 ``scipy.optimize.linprog`` does around the same solve.  That module is
 private, so ``tests/test_lp_model.py`` pins the point, objective and
 iteration count to ``scipy.optimize.linprog``'s bit for bit.
+
+The binding is loaded from its file, not imported: importing
+``scipy.optimize._highspy._core`` first runs ``scipy/optimize/__init__.py``,
+which loads ``scipy.linalg``, ``scipy.fft`` and the other solvers and takes
+longer than everything else the program imports, numpy included.
+:func:`_load_highs` finds the extension file in scipy's
+``optimize/_highspy`` directory and registers the module in ``sys.modules``
+under its own name, so a later ``import scipy.optimize`` reuses it; if
+``scipy.optimize`` was imported first, its module is reused instead (a
+pybind11 module must not be loaded twice).  Matrices are read only through
+their ``data``, ``indices``, ``indptr`` and ``shape`` (:class:`Csr`, or a
+scipy CSR matrix), so the solve path imports no ``scipy.sparse`` either.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
-from typing import Any
+from types import ModuleType
+from typing import Any, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy._core import (
-    HighsModelStatus,
-    HighsStatus,
-    MatrixFormat,
-    ObjSense,
-    _Highs,
-    simplex_constants,
-)
+import scipy
 
 from .errors import LpSolveError
 
 OBJECTIVE_TOL = 1e-9  # relative gap allowed between HiGHS's objective and c . x
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs(directory: str) -> ModuleType:
+    """scipy's HiGHS binding, loaded from ``directory`` without its parent packages.
+
+    An already imported binding is returned as it is.  Raises ``ImportError``
+    if ``directory`` holds no ``_core`` extension file.
+    """
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    paths = [os.path.join(directory, "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy {scipy.__version__} has no HiGHS binding _core in {directory}")
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs(os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+_Highs, HighsStatus = _highs._Highs, _highs.HighsStatus
+
 _HIGHS_OPTIONS = (
     ("output_flag", False),  # else HiGHS prints its banner and log to stdout
     ("presolve", "off"),
     ("simplex_dual_edge_weight_strategy",
-     simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex),
+     _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex),
 )
+
+
+class Csr(NamedTuple):
+    """Compressed sparse rows as plain arrays; a scipy CSR matrix has the same attributes."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _rows(A: Csr) -> np.ndarray:
+    """The row of every stored entry of ``A``, in storage order."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
+def matvec(A: Csr, x: np.ndarray) -> np.ndarray:
+    """``A @ x``: each row's products added in storage order from +0.0, the
+    same floats as scipy's CSR product."""
+    return np.bincount(_rows(A), A.data * x[A.indices], A.shape[0])
+
 
 @dataclass
 class StandardLp:
     """maximize c.x  subject to  A_eq x = b_eq,  A_le x <= b_le,  x >= 0."""
 
     c: np.ndarray
-    A_eq: sp.csr_matrix | None = None
+    A_eq: Csr | None = None
     b_eq: np.ndarray | None = None
-    A_le: sp.csr_matrix | None = None
+    A_le: Csr | None = None
     b_le: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -74,8 +130,9 @@ class StandardLp:
 
     def row_sums(self, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
         """``(A @ x, |A| @ |x|)`` for ``A_eq`` and ``A_le``; None for an absent block."""
-        return tuple(None if A is None else (A @ x, abs(A) @ np.abs(x))
-                     for A in (self.A_eq, self.A_le))
+        return tuple(None if A is None else (
+            matvec(A, x), matvec(Csr(np.abs(A.data), A.indices, A.indptr, A.shape), np.abs(x)))
+            for A in (self.A_eq, self.A_le))
 
 
 @dataclass
@@ -151,23 +208,30 @@ def linprog(lp: StandardLp) -> HighsResult:
 
     One HiGHS object, set to ``_HIGHS_OPTIONS``, is handed the LP once as
     numpy arrays, rows stacked as ``scipy.optimize.linprog`` stacks them
-    (``A_le`` over ``A_eq``), so that HiGHS reads the same model.
+    (``A_le`` over ``A_eq``), so that HiGHS reads the same model.  The
+    column-wise matrix is the rows' entries sorted stably by column, the
+    order ``scipy.sparse.vstack((A_le, A_eq), format="csc")`` gives when no
+    (row, column) is stored twice.
     """
     n = len(lp.c)
-    empty = sp.csr_matrix((0, n)), np.zeros(0)
-    A_le, b_le = empty if lp.A_le is None else (lp.A_le, lp.b_le)
-    A_eq, b_eq = empty if lp.A_eq is None else (lp.A_eq, lp.b_eq)
-    A = sp.vstack((A_le, A_eq), format="csc")
+    empty = Csr(np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, n))
+    A_le, b_le = (empty, np.zeros(0)) if lp.A_le is None else (lp.A_le, lp.b_le)
+    A_eq, b_eq = (empty, np.zeros(0)) if lp.A_eq is None else (lp.A_eq, lp.b_eq)
+    cols = np.concatenate((A_le.indices, A_eq.indices))
+    order = np.argsort(cols, kind="stable")
+    rows = np.concatenate((_rows(A_le), A_le.shape[0] + _rows(A_eq)))[order]
+    per_col = np.bincount(cols, minlength=n)
     highs = _Highs()
     for name, value in _HIGHS_OPTIONS:
         if highs.setOptionValue(name, value) == HighsStatus.kError:
             return HighsResult(f"setOptionValue {name} returned an error")
     if highs.passModel(
-            n, A.shape[0], A.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-            -lp.c, np.zeros(n), np.full(n, np.inf),
+            n, len(b_le) + len(b_eq), len(cols), _highs.MatrixFormat.kColwise,
+            _highs.ObjSense.kMinimize, 0.0, -lp.c, np.zeros(n), np.full(n, np.inf),
             np.concatenate((np.full(len(b_le), -np.inf), b_eq)), np.concatenate((b_le, b_eq)),
-            A.indptr[:n].astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False),
-            A.data.astype(float, copy=False), np.zeros(n, dtype=np.int32),
+            (np.cumsum(per_col) - per_col).astype(np.int32), rows.astype(np.int32),
+            np.concatenate((A_le.data, A_eq.data))[order].astype(float, copy=False),
+            np.zeros(n, dtype=np.int32),
     ) == HighsStatus.kError:
         return HighsResult("passModel returned an error")
     if highs.run() == HighsStatus.kError:
@@ -175,7 +239,7 @@ def linprog(lp: StandardLp) -> HighsResult:
     model_status = highs.getModelStatus()
     info = highs.getInfo()
     res = HighsResult(highs.modelStatusToString(model_status), nit=info.simplex_iteration_count)
-    if model_status == HighsModelStatus.kOptimal:
+    if model_status == _highs.HighsModelStatus.kOptimal:
         res.x = np.array(highs.getSolution().col_value)
         res.fun = info.objective_function_value
     return res

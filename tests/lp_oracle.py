@@ -26,6 +26,11 @@ from evcg_reserves.lp_model import (
 )
 
 
+def as_csr(A) -> sp.csr_matrix:
+    """A scipy CSR matrix over the arrays of ``A`` (an ``lp_solver.Csr`` or a CSR matrix)."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def standard_lp(instance: LpInstance) -> lp_solver.StandardLp:
     """The instance's full LP as assembled CSR rows."""
     return lp_solver.StandardLp(c=instance.c, A_eq=instance.A_eq, b_eq=instance.b_eq,
@@ -173,8 +178,8 @@ def marginal_form(instance: LpInstance, quotient: lp_solver.Quotient) -> lp_solv
         indptr = np.r_[0, np.cumsum(np.bincount(row[kept], minlength=A.shape[0]))]
         return sp.csr_matrix((entries.data[kept], new[kept], indptr), shape=(A.shape[0], num_cols))
 
-    balance = _csr([(p_group, np.arange(n_p), 1.0), (u_group, n_p + np.arange(n_u), -1.0)],
-                   (len(firsts), num_cols))
+    balance = as_csr(_csr([(p_group, np.arange(n_p), 1.0),
+                           (u_group, n_p + np.arange(n_u), -1.0)], (len(firsts), num_cols)))
     return lp_solver.Quotient(
         lp=lp_solver.StandardLp(
             c=np.concatenate([np.where(ph, 0.0, lp.c[p_first]),

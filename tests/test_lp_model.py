@@ -33,7 +33,13 @@ from evcg_reserves.lp_model import (
 )
 
 from .conftest import desk_instances, grid_of, make_dataset
-from .lp_oracle import marginal_form, standard_lp, symmetry_quotient, without_empty_rows
+from .lp_oracle import (
+    as_csr,
+    marginal_form,
+    standard_lp,
+    symmetry_quotient,
+    without_empty_rows,
+)
 
 
 class TestEnumeration:
@@ -325,8 +331,8 @@ def test_solve_matches_public_linprog():
         instance = build_lp(ds, grid_of(ds))
         quotient = reduced_lp(instance)
         lp = quotient.lp
-        public = linprog(-lp.c, A_ub=lp.A_le, b_ub=lp.b_le, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                         bounds=(0, None), method="highs",
+        public = linprog(-lp.c, A_ub=as_csr(lp.A_le), b_ub=lp.b_le, A_eq=as_csr(lp.A_eq),
+                         b_eq=lp.b_eq, bounds=(0, None), method="highs",
                          options={"presolve": False, "simplex_dual_edge_weight_strategy": "devex"})
         private = lp_solver.linprog(lp)
         assert private.status == "Optimal" and public.status == 0, i
@@ -604,10 +610,10 @@ def oracle_instances() -> list[BidDataset]:
     return cases
 
 
-def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+def same_csr(a, b) -> bool:
     """Same shape and entries, compared in canonical (sorted-index) storage:
     HiGHS reads the rows stacked column-wise, never their in-row order."""
-    a, b = a.sorted_indices(), b.sorted_indices()
+    a, b = as_csr(a).sorted_indices(), as_csr(b).sorted_indices()
     return a.shape == b.shape and all(np.array_equal(getattr(a, part), getattr(b, part))
                                       for part in ("data", "indices", "indptr"))
 
@@ -668,8 +674,8 @@ class TestReducedLp:
         for ds in oracle_instances():
             instance = build_lp(ds, grid_of(ds))
             lp = reduced_lp(instance).lp
-            assert (lp.A_eq.getnnz(axis=1) > 0).all()
-            assert (lp.A_le.getnnz(axis=1) > 0).all()
+            assert (np.diff(lp.A_eq.indptr) > 0).all()
+            assert (np.diff(lp.A_le.indptr) > 0).all()
             orbit = buyer_orbits(instance)
             first = np.unique(orbit, return_index=True)[1]
             candidate = candidate_mask(ds, instance.grid)
@@ -714,6 +720,76 @@ class TestReducedLp:
             point = rng.standard_normal(instance.num_vars)
             assert (lp_solver.feasibility_violation(instance, point)
                     == lp_solver.feasibility_violation(csr, point))
+
+
+    def test_highs_matrix_matches_scipy_stacking(self, monkeypatch):
+        """linprog stacks ``A_le`` over ``A_eq`` column-wise in numpy; what it
+        hands passModel is, dtype and bits, what the arrays of
+        ``sp.vstack((A_le, A_eq), format="csc")`` become, also with either
+        block absent."""
+        passed = []
+
+        class Recording(lp_solver._Highs):
+            def passModel(self, *args):
+                passed.append(args)
+                return lp_solver.HighsStatus.kError  # stop before the solve
+
+        monkeypatch.setattr(lp_solver, "_Highs", Recording)
+        cases = oracle_instances() + [bad_example(BadExampleSpec(k=k)) for k in (69, 77, 80)]
+        for i, ds in enumerate(cases):
+            lp = reduced_lp(build_lp(ds, grid_of(ds))).lp
+            n = len(lp.c)
+            for le, eq in ((True, True), (True, False), (False, True)):
+                rows = {}
+                if le:
+                    rows.update(A_le=lp.A_le, b_le=lp.b_le)
+                if eq:
+                    rows.update(A_eq=lp.A_eq, b_eq=lp.b_eq)
+                lp_solver.linprog(lp_solver.StandardLp(c=lp.c, **rows))
+                A = sp.vstack([as_csr(rows[name]) if name in rows else sp.csr_matrix((0, n))
+                               for name in ("A_le", "A_eq")], format="csc")
+                args = passed[-1]
+                assert args[1:3] == (A.shape[0], A.nnz), i
+                expected = (A.indptr[:n].astype(np.int32, copy=False),
+                            A.indices.astype(np.int32, copy=False),
+                            A.data.astype(float, copy=False))
+                for got, want in zip(args[11:14], expected):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+
+    def test_coupling_spread_matches_csr_matvec(self):
+        """The coupling spreads its columns by summing into zeros, bit for
+        bit scipy's CSR product over the same label and weight arrays: a
+        -0.0 in the x or y' part comes out +0.0."""
+        rng = np.random.Generator(np.random.Philox(131))
+        cases = [bad_example(BadExampleSpec(k=4))] + symmetric_instances(4, seed=131)
+        cases += wide_bid_instances(2, seed=137)
+        for ds in cases:
+            quotient = reduced_lp(build_lp(ds, grid_of(ds)))
+            coupling, head = quotient.expand, quotient.expand.n_p + quotient.expand.n_u
+            spread = as_csr(coupling.spread)
+            signed = rng.random(len(quotient.lp.c))
+            signed[head::3], signed[head + 1::3] = -0.0, 0.0
+            for v in (lp_solver.linprog(quotient.lp).x, signed):
+                z = np.concatenate([coupling.couple(v), v[head:]])
+                assert (coupling @ v).tobytes() == (spread @ z).tobytes()
+            assert np.signbit(z[z == 0]).any() and not np.signbit(coupling @ signed).any()
+
+    def test_row_sums_match_csr_products(self):
+        """``StandardLp.row_sums`` adds each row's products in storage order:
+        the floats of scipy's ``A @ x`` and ``|A| @ |x|``, on the solved LP's
+        rows and on the full rows, at points holding -0.0 and 0."""
+        rng = np.random.Generator(np.random.Philox(139))
+        cases = [bad_example(BadExampleSpec(k=4))] + symmetric_instances(4, seed=139)
+        cases += wide_bid_instances(2, seed=149)
+        for ds in cases:
+            instance = build_lp(ds, grid_of(ds))
+            for lp in (reduced_lp(instance).lp, standard_lp(instance)):
+                x = rng.standard_normal(len(lp.c))
+                x[::5], x[1::5] = -0.0, 0.0
+                for (dot, abs_dot), A in zip(lp.row_sums(x), (lp.A_eq, lp.A_le)):
+                    A = as_csr(A)
+                    assert dot.tobytes() == (A @ x).tobytes()
+                    assert abs_dot.tobytes() == (abs(A) @ np.abs(x)).tobytes()
 
 
 class TestEncode:
