@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 AUX_PREFIX = "~aux"
-# entries per slab of either evaluator kernel: rows x auctions x buyers of
-# the row kernel, class-product entries of one auction in brute force's walk
+# entries per slab: rows x auctions x buyers of the row kernel, and the
+# reserve classes of one auction in brute force's bid-order recursion
 CHUNK = 2**18
 
 
@@ -251,20 +251,11 @@ class _BatchEvaluator:
 
     Precomputes once, per auction, the buyers in tie-broken bid order
     (``order``) and their bids (``bids``), two (auctions x buyers) arrays
-    that both kernels read.  The input kind picks the kernel:
-
-    - a reserve matrix, one row per vector (:meth:`revenues`,
-      :meth:`winners_above`, :meth:`outcome`), goes through
-      :meth:`_row_slabs`, which gathers every auction's reserves in bid order
-      and reads winners, supporter and payments off one cumulative count of
-      cleared buyers;
-    - per-buyer reserve arrays that broadcast against each other
-      (:meth:`auction_revenues`, brute force's class products) go through
-      :meth:`_walk`, which never materialises the broadcast per buyer.  On
-      the 2.16M class rows of brute force on a 6-buyer, 40-auction dataset
-      the row kernel, fed the materialised matrix, took 401-482 ms against
-      70-90 ms for the walk; a few-row matrix with many buyers is the
-      opposite case (greedy at k = 20: 24 ms walked, 1.5 ms by rows).
+    that brute force's own recursion (:func:`baselines._bid_order_revenues`)
+    reads too.  A reserve matrix, one row per vector, goes through the row
+    kernel :meth:`_row_slabs`: it gathers every auction's reserves in bid
+    order and reads winners, supporter and payments off one cumulative count
+    of cleared buyers.
 
     A winner pays at most the auction's highest bid, so no sum can exceed
     sum(weight * k * max bid): below 2^63 the arithmetic is int64, from 2^63
@@ -294,51 +285,6 @@ class _BatchEvaluator:
         """One reserve vector as a one-row matrix; a reserve above every bid,
         which never clears, becomes top + 1."""
         return np.array([[min(r, self.top + 1) for r in reserves]], dtype=self.dtype)
-
-    def _walk(self, auction_index: int, reserves):
-        """Winners and supporter's bid of one auction, entry by entry.
-
-        ``reserves[b]`` is buyer b's reserve, an array (or scalar); the
-        buyers' arrays broadcast against each other and every result has
-        their broadcast shape, over the axes of the buyers visited.  The walk
-        takes the buyers in bid order with a running count of cleared
-        buyers: a cleared buyer wins while the count is below k and supports
-        when it equals k; it stops once every entry has k + 1 cleared
-        buyers.  Returns ``(winners, support_bid)``: ``(buyer, wins)`` for
-        each buyer that may win, and the supporter's bid.
-        """
-        k = self.k
-        count = np.zeros((), dtype=self.count_dtype)  # cleared buyers so far
-        low = 0  # the least count over the entries
-        support_bid = np.zeros((), dtype=self.dtype)
-        winners = []
-        for step, (buyer, bid) in enumerate(zip(self.order[auction_index].tolist(),
-                                                self.bids[auction_index])):
-            cleared = bid >= reserves[buyer]
-            if step < k:  # every count is below k yet
-                winners.append((buyer, cleared))
-                count = count + cleared
-                continue
-            if low < k:
-                winners.append((buyer, cleared & (count < k)))
-            support_bid = np.where(cleared & (count == k), bid, support_bid)
-            count = count + cleared
-            low = count.min()
-            if low > k:
-                break
-        return winners, support_bid
-
-    def auction_revenues(self, auction_index: int, reserves) -> np.ndarray:
-        """Revenue of one auction (unweighted) over per-buyer reserve arrays
-        that broadcast against each other (see :meth:`_walk`): each winner
-        pays max(own reserve, supporter's bid)."""
-        winners, support_bid = self._walk(auction_index, reserves)
-        total = np.zeros_like(support_bid)
-        payment = np.empty_like(support_bid)
-        for buyer, wins in winners:
-            np.maximum(reserves[buyer], support_bid, out=payment)
-            np.add(total, payment, out=total, where=wins)
-        return total
 
     def _row_slabs(self, reserve_matrix: np.ndarray, auctions: slice):
         """The row kernel: the ``auctions`` of every row of ``reserve_matrix``.

@@ -1,9 +1,10 @@
 """Exact and heuristic baselines, plus the integrality-gap instance.
 
 ``brute_force_opt`` searches the product of per-buyer candidate reserves
-exactly, evaluating each auction only on its distinct outcomes;
-``greedy_reserves`` is a reconstructed one-pass coordinate ascent
-(a baseline, not a primary artifact).  ``bad_example`` builds the weighted
+exactly, evaluating each auction only on its distinct outcomes, by its own
+recursion over the auction's bid order; ``greedy_reserves`` is a
+reconstructed one-pass coordinate ascent (a baseline, not a primary
+artifact), on the evaluator's row kernel.  ``bad_example`` builds the weighted
 four-column dataset on which naive one-shot rounding of the fractional
 optimum loses to the best reserve vector for large item counts, and
 ``bad_example_fractional`` the fractional LP point mixing its two benchmark
@@ -111,45 +112,91 @@ def _candidate_reserves(dataset: BidDataset, grid: ReserveGrid) -> list[list[int
     return [[v for v, keep in zip(grid.values, row) if keep] for row in mask.tolist()]
 
 
-def _reserve_classes(cands: list[list[int]], bids: tuple[int, ...]) -> list[np.ndarray]:
-    """Per real buyer, the outcome class of each candidate in one auction.
+def _bid_order_revenues(evaluator, auction_index: int, classes, dtype) -> np.ndarray:
+    """Revenue of one auction (unweighted) over a product of reserve classes.
 
-    Candidates at or below the buyer's bid each form their own class; every
-    candidate above it leaves the buyer uncleared, so they share one class,
-    the last.  A class is represented by its first candidate.
+    ``classes[b] = (reserves, uncleared)`` lays real buyer b's classes along
+    axis b: one per reserve at or below its bid, then the uncleared one if
+    set.  The buyers are visited from the last in bid order to the first,
+    keeping per count c of buyers cleared before the current one the
+    supporter's bid F(c) and, for c < k, the winners' payments G(c) from the
+    current buyer on; past the last real buyer both are 0 (the auxiliaries
+    clear at bid 0).  A cleared class with reserve r gives F(c) = F'(c + 1),
+    or the own bid when c = k, and G(c) = max(r, F'(c + 1)) + G'(c + 1) with
+    G'(k) = 0; the uncleared class keeps F'(c) and G'(c).  Only reachable
+    counts are kept and F(0) is never read, so every array spans only the
+    buyers visited.  Returns G(0), which broadcasts to the class product.
     """
-    return [np.minimum(np.arange(len(c)), bisect.bisect_right(c, bid))
-            for c, bid in zip(cands, bids)]
+    n, k = len(classes), evaluator.k
+    zero = np.zeros((1,) * n, dtype=dtype)
+    support, paid = [zero] * (k + 1), [zero] * k
+    # in bid order, where every real buyer precedes every auxiliary one
+    bids = evaluator.bids[auction_index, :n].astype(dtype)
+    for pos in range(n - 1, -1, -1):
+        buyer = int(evaluator.order[auction_index, pos])
+        reserves, uncleared = classes[buyer]
+        if not len(reserves):  # never clears: every count passes on unchanged
+            continue
+        r = reserves.reshape((1,) * buyer + (-1,) + (1,) * (n - 1 - buyer))
+        cleared = (slice(None),) * buyer + (slice(0, len(reserves)),)
+        rest = (slice(None),) * buyer + (slice(len(reserves), None),)
+
+        def by_class(*parts):  # every axis has length 1 or the buyer's class count
+            shape = list(map(max, *(x.shape for x in parts)))
+            shape[buyer] = len(reserves) + uncleared
+            return np.empty(shape, dtype=dtype)
+
+        next_paid, next_support = [], [None]
+        for c in range(min(pos, k - 1) + 1):
+            after = paid[c + 1 : c + 2]  # empty when c + 1 = k
+            out = by_class(r, support[c + 1], *after, *([paid[c]] if uncleared else []))
+            np.maximum(r, support[c + 1], out=out[cleared])
+            for g in after:
+                np.add(out[cleared], g, out=out[cleared])
+            if uncleared:
+                out[rest] = paid[c]
+            next_paid.append(out)
+        for c in range(1, min(pos, k) + 1):
+            hit = support[c + 1] if c < k else bids[pos : pos + 1].reshape((1,) * n)
+            if uncleared:
+                out = by_class(hit, support[c])
+                out[cleared], out[rest] = hit, support[c]
+                hit = out
+            next_support.append(hit)
+        support, paid = next_support, next_paid
+    return paid[0]
 
 
-def _class_revenues(evaluator, auction_index: int, reps: list[np.ndarray], dtype) -> np.ndarray:
-    """Weighted revenue of one auction over the product of its class
-    representatives, as a tensor of ``dtype``.
+def _slabs(classes: list[int], sizes: tuple[int, ...], itemsize: int):
+    """``(split, slabs)``: one auction's class product cut into slabs.
 
-    Each real buyer's representatives lie along the buyer's own axis and
-    auxiliary reserves are 0, so the evaluator's arrays span only the axes of
-    the buyers it has visited.  The product is evaluated in slabs of at most
-    :data:`auction.CHUNK` entries: the leading axes before ``split`` are fixed
-    to one class each, axis ``split`` is cut into ranges, the axes after it
-    are whole.
+    A slab is a class range per axis: one class before ``split``, a range on
+    ``split``, all classes after it.  It has at most :data:`auction.CHUNK`
+    classes, as the recursion holds up to 4k + 1 arrays of its size, and
+    expanded to candidates after ``split`` at most 8 * :data:`auction.CHUNK`
+    bytes, a row-kernel slab of int64.
     """
-    shape = tuple(len(r) for r in reps)
+    limits = auction.CHUNK, 8 * auction.CHUNK // itemsize
     split = 0
-    while math.prod(shape[split + 1:]) > auction.CHUNK:
+    while (math.prod(classes[split + 1:]) > limits[0]
+           or math.prod(sizes[split + 1:]) > limits[1]):
         split += 1
-    step = auction.CHUNK // math.prod(shape[split + 1:])
-    # buyer b's representatives along axis b - split of a slab
-    axes = [r.reshape((-1,) + (1,) * (len(shape) - 1 - b)) for b, r in enumerate(reps)]
-    aux = [0] * (evaluator.k + 1)
-    weight = evaluator.weights[auction_index]
-    out = np.empty(shape, dtype=dtype)
-    for fixed in itertools.product(*map(range, shape[:split])):
-        lead = [r[i] for r, i in zip(reps, fixed)]
-        for lo in range(0, shape[split], step):
-            reserves = lead + [axes[split][lo : lo + step]] + axes[split + 1:] + aux
-            out[fixed + (slice(lo, lo + step),)] = (
-                weight * evaluator.auction_revenues(auction_index, reserves))
-    return out
+    step = min(limits[0] // math.prod(classes[split + 1:]),
+               limits[1] // math.prod(sizes[split + 1:]))
+    return split, ([(i, i + 1) for i in fixed] + [(lo, min(lo + step, classes[split]))]
+                   + [(0, c) for c in classes[split + 1:]]
+                   for fixed in itertools.product(*map(range, classes[:split]))
+                   for lo in range(0, classes[split], step))
+
+
+def _gather(revs: np.ndarray, cleared: list[int], sizes: tuple[int, ...], lead: int) -> np.ndarray:
+    """Class revenues expanded to candidates on the axes after ``lead``, from
+    the last (where the array is smallest): on axis b, candidates from
+    ``cleared[b]`` on share the uncleared class."""
+    for b in range(revs.ndim - 1, lead, -1):
+        if revs.shape[b] < sizes[b]:
+            revs = np.take(revs, np.minimum(np.arange(sizes[b]), cleared[b]), axis=b)
+    return revs
 
 
 def brute_force_opt(
@@ -160,11 +207,15 @@ def brute_force_opt(
 ) -> tuple[tuple[int, ...], int]:
     """Exact maximizer over the candidate product; ties break lexicographically.
 
-    Each auction is evaluated only on the product of its reserve classes
-    (see :func:`_reserve_classes`), and its weighted revenues are gathered
-    into one tensor over the whole candidate product, whose first maximum in
-    C order is the first in lexicographic order.  Auxiliary reserves stay 0.
-    Refuses with :class:`SizeGuardError` when the candidate product exceeds
+    In one auction a buyer's candidates above its bid all leave it
+    uncleared, so they form one class and each other candidate its own.
+    Each auction is evaluated on its class product, slab by slab
+    (:func:`_slabs`, :func:`_bid_order_revenues`), and added into one tensor
+    over the candidate product: by :func:`_gather` on the later axes, by
+    slices (the uncleared class broadcast) on the axes up to two past the
+    split.  The tensor's first maximum in C order is the first in
+    lexicographic order.  Auxiliary reserves stay 0.  Refuses with
+    :class:`SizeGuardError` when the candidate product exceeds
     ``max_evals``, before anything is allocated, so the tensor has at most
     ``max_evals`` entries of at most 8 bytes (Python ints past 2^63).
     """
@@ -182,21 +233,32 @@ def brute_force_opt(
     if not cands:  # no real buyer: the zero vector is the only candidate
         vec = zero_reserves(dataset)
         return vec, int(evaluator.revenues(evaluator.row(vec))[0])
-    values = [np.array(c, dtype=evaluator.dtype) for c in cands]
     # no entry exceeds the evaluator's bound: the narrowest type holding it is exact
-    dtype = object if evaluator.dtype is object else np.min_scalar_type(evaluator.bound)
-    tensor = np.zeros(tuple(len(c) for c in cands), dtype=dtype)
+    dtype = np.dtype(object if evaluator.dtype is object else np.min_scalar_type(evaluator.bound))
+    values = [np.array(c, dtype=dtype) for c in cands]
+    sizes = tuple(len(c) for c in cands)
+    tensor = np.zeros(sizes, dtype=dtype)
     for a, column in enumerate(dataset.auctions):
-        classes = _reserve_classes(cands, column.bids)
-        reps = [v[: cls[-1] + 1] for v, cls in zip(values, classes)]
-        revs = _class_revenues(evaluator, a, reps, dtype)
-        last = len(reps[0]) - 1
-        for c0 in range(last + 1):
-            slab = revs[c0]
-            for axis, cls in enumerate(classes[1:]):
-                slab = np.take(slab, cls, axis=axis)
-            # class c0 of buyer 0 is candidate c0, or the last one and all above it
-            tensor[c0 : None if c0 == last else c0 + 1] += slab
+        if not any(column.bids):  # pays nothing; its weight may even exceed the bound
+            continue
+        cleared = [bisect.bisect_right(c, bid) for c, bid in zip(cands, column.bids)]
+        classes = [m + (m < size) for m, size in zip(cleared, sizes)]
+        split, slabs = _slabs(classes, sizes, dtype.itemsize)
+        lead = min(split + 2, len(sizes) - 1)
+        for ranges in slabs:
+            part = [(v[lo : min(hi, m)], hi > m) for v, m, (lo, hi) in zip(values, cleared, ranges)]
+            revs = _bid_order_revenues(evaluator, a, part, dtype)
+            np.multiply(revs, column.weight, out=revs)
+            revs = np.broadcast_to(revs, tuple(hi - lo for lo, hi in ranges))
+            revs = _gather(revs, cleared, sizes, lead)
+            # per axis up to lead: cleared classes onto their candidates, the
+            # uncleared one onto every candidate above the bid
+            pieces = [[(slice(lo, min(hi, m)), slice(0, min(hi, m) - lo))] * (lo < m)
+                      + [(slice(m, None), slice(max(m - lo, 0), None))] * (hi > m)
+                      for m, (lo, hi) in zip(cleared, ranges[: lead + 1])]
+            for piece in itertools.product(*pieces):
+                to, of = zip(*piece)
+                tensor[to] += revs[of]
     best = int(np.argmax(tensor))
     index = np.unravel_index(best, tensor.shape)
     vec = tuple(c[i] for c, i in zip(cands, index)) + (0,) * (dataset.num_items + 1)

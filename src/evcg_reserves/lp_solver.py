@@ -218,7 +218,8 @@ def linprog(lp: StandardLp) -> HighsResult:
     A_le, b_le = (empty, np.zeros(0)) if lp.A_le is None else (lp.A_le, lp.b_le)
     A_eq, b_eq = (empty, np.zeros(0)) if lp.A_eq is None else (lp.A_eq, lp.b_eq)
     cols = np.concatenate((A_le.indices, A_eq.indices))
-    order = np.argsort(cols, kind="stable")
+    # one stable sort, on the narrowest key type: numpy radix-sorts keys of <= 16 bits
+    order = np.argsort(cols.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
     rows = np.concatenate((_rows(A_le), A_le.shape[0] + _rows(A_eq)))[order]
     per_col = np.bincount(cols, minlength=n)
     highs = _Highs()

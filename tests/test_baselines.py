@@ -1,10 +1,14 @@
 """Exact search, greedy baseline, and the worst-case instance family."""
 
+import bisect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evcg_reserves import auction, baselines
 from evcg_reserves.auction import (
@@ -26,7 +30,7 @@ from evcg_reserves.datasets import random_dataset
 from evcg_reserves.errors import SizeGuardError
 from evcg_reserves.lp_model import build_lp
 
-from .conftest import desk_instances, grid_of, make_dataset, naive_revenue
+from .conftest import desk_instances, grid_of, make_dataset, naive_outcome, naive_revenue
 
 
 def product_order_optimum(ds, values):
@@ -66,6 +70,15 @@ def oracle_instances():
         if math.prod(map(len, _candidate_reserves(ds, grid_of(ds)))) <= 20_000:
             out.append(ds)
     return out
+
+
+@st.composite
+def tiny_datasets(draw):
+    """Up to 4 real buyers (none too), 1-4 auctions, k 1-3, bids 0-6, weights 1-3."""
+    nb, k = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    cols = [(draw(st.integers(1, 3)), tuple(draw(st.integers(0, 6)) for _ in range(nb)))
+            for _ in range(draw(st.integers(1, 4)))]
+    return make_dataset(k, cols)
 
 
 class TestBruteForce:
@@ -137,6 +150,14 @@ class TestBruteForce:
             assert brute_force_opt(ds, grid) == product_order_optimum(
                 ds, _candidate_reserves(ds, grid))
 
+    @settings(max_examples=80, deadline=None)
+    @given(tiny_datasets())
+    @example(make_dataset(1, [(1000, (0, 0)), (1, (3, 1))]))  # a weight past the 8-bit bound
+    def test_matches_product_order_oracle_on_random_tiny_datasets(self, ds):
+        grid = grid_of(ds)
+        assert brute_force_opt(ds, grid) == product_order_optimum(
+            ds, _candidate_reserves(ds, grid))
+
     def test_chunk_size_does_not_matter(self, monkeypatch, int64_overflow):
         cases = oracle_instances()[-10:] + [int64_overflow]
         expected = [brute_force_opt(ds, grid_of(ds)) for ds in cases]
@@ -158,28 +179,83 @@ class TestBruteForce:
             checked += 1
         assert checked == 51
 
+    def test_recursion_matches_naive_outcome(self, int64_overflow):
+        """The bid-order recursion's revenue on every entry of every auction's
+        class product equals the naive re-implementation's, at the
+        candidate standing for each class (the uncleared class is the first
+        candidate above the bid)."""
+        ties = make_dataset(2, [(1, (5, 5, 5, 5)), (3, (5, 5, 5, 5)), (2, (5, 5, 5, 5))])
+        wide = [make_dataset(1, [(1, (2**16 - 1, 7, 2**16 - 2))]),
+                make_dataset(2, [(3, (4 * 10**12, 10**12, 3 * 10**12)), (1, (0, 5, 2))])]
+        zero_bidder = make_dataset(2, [(1, (0, 5, 3)), (2, (0, 1, 4)), (1, (0, 4, 4))])
+        by_k = [make_dataset(k, [(1, (6, 2, 9, 2, 4)), (2, (3, 8, 0, 5, 7)), (1, (1, 1, 6, 6, 0))])
+                for k in (1, 2, 3)]
+        no_real = make_dataset(1, [(1, ())])
+        cases = oracle_instances() + wide + by_k + [ties, zero_bidder, no_real, int64_overflow]
+        assert {ds.num_items for ds in cases} == {1, 2, 3}
+        for ds in cases:
+            evaluator = batch_evaluator(ds)
+            dtype = np.dtype(object if evaluator.dtype is object
+                             else np.min_scalar_type(evaluator.bound))
+            cands = _candidate_reserves(ds, grid_of(ds))
+            aux = (0,) * (ds.num_items + 1)
+            for a, column in enumerate(ds.auctions):
+                cleared = [bisect.bisect_right(c, bid) for c, bid in zip(cands, column.bids)]
+                part = [(np.array(c[:m], dtype=dtype), m < len(c)) for c, m in zip(cands, cleared)]
+                revs = baselines._bid_order_revenues(evaluator, a, part, dtype)
+                shape = tuple(m + unc for m, (_, unc) in zip(cleared, part))
+                revs = np.broadcast_to(revs, shape)
+                for entry in np.ndindex(shape):
+                    reserves = tuple(c[i] for c, i in zip(cands, entry)) + aux
+                    assert revs[entry] == naive_outcome(column.bids, reserves, ds.num_items)[3]
+
     def test_slabs_stay_within_chunk(self, monkeypatch):
-        """The evaluator never receives more than ``auction.CHUNK`` entries from
-        brute force, counted over the broadcast of all its reserve arrays."""
-        received = []
-        kernel = auction._BatchEvaluator.auction_revenues
+        """Brute force's recursion never sees more than ``auction.CHUNK``
+        reserve classes at once, and no array gathered from them takes more
+        than 8 * ``auction.CHUNK`` bytes.  Besides the tensor, brute force
+        then holds at most the recursion's 4k + 1 arrays, or one of them and
+        a gather's two: on the largest instance, at a chunk below its largest
+        class product too, tracemalloc sees no more."""
+        classes, gathered = [], []
+        recursion, gather = baselines._bid_order_revenues, baselines._gather
+        default = auction.CHUNK
 
-        def recording(self, auction_index, reserves):
-            received.append(math.prod(np.broadcast_shapes(*map(np.shape, reserves))))
-            return kernel(self, auction_index, reserves)
+        def recording_recursion(evaluator, auction_index, part, dtype):
+            classes.append(math.prod(len(r) + unc for r, unc in part))
+            return recursion(evaluator, auction_index, part, dtype)
 
-        monkeypatch.setattr(auction._BatchEvaluator, "auction_revenues", recording)
+        def recording_gather(revs, *args):
+            out = gather(revs, *args)
+            gathered.append(out.size * out.itemsize)
+            return out
+
+        def run(ds, chunk):
+            monkeypatch.setattr(auction, "CHUNK", chunk)
+            classes.clear()
+            gathered.clear()
+            brute_force_opt(ds, grid_of(ds))
+            assert max(classes) <= chunk and max(gathered) <= 8 * chunk
+
+        monkeypatch.setattr(baselines, "_bid_order_revenues", recording_recursion)
+        monkeypatch.setattr(baselines, "_gather", recording_gather)
+        for ds in oracle_instances()[:20]:
+            for chunk in (1, 7, 60):
+                run(ds, chunk)
         # the largest class product here is 324,000 entries, past the default chunk
         largest = add_auxiliary_buyers(random_dataset(6, 40, 2, 0, max_bid=9, max_weight=5))
-        cases = [(largest, auction.CHUNK)] + [
-            (ds, chunk) for ds in oracle_instances()[:20] for chunk in (1, 7, 60)]
-        for ds, chunk in cases:
-            monkeypatch.setattr(auction, "CHUNK", chunk)
-            received.clear()
-            brute_force_opt(ds, grid_of(ds))
-            assert max(received) <= chunk
-            if ds is largest:  # slabs were cut, each as large as the chunk allows
-                assert len(received) > ds.num_auctions and max(received) > chunk // 2
+        # 16-bit entries: the revenue bound 2 * sum(weight * max bid) fits
+        tensor = 2 * math.prod(map(len, _candidate_reserves(largest, grid_of(largest))))
+        batch_evaluator(largest)  # built once per dataset, outside the measured span
+        for chunk in (default, 2**14):
+            tracemalloc.start()
+            try:
+                run(largest, chunk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # slabs were cut, each as large as the chunk allows
+            assert len(classes) > largest.num_auctions and max(classes) > chunk // 2
+            assert peak - tensor <= (4 * largest.num_items + 2) * chunk * 2 + 16 * chunk
 
     def test_dominates_specific_vectors(self):
         rng = np.random.Generator(np.random.Philox(3))
