@@ -37,16 +37,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lp_solver
 from .auction import BidDataset, ReserveGrid, batch_evaluator, candidate_mask, validate_reserves
 from .errors import SizeGuardError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_MAX_SUBPROFILES = 500_000
 
@@ -215,20 +212,12 @@ class LpInstance:
         return eq, le
 
     @cached_property
-    def _matrices(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        import scipy.sparse as sp  # the solve path never assembles the full rows
+    def A_eq(self) -> lp_solver.Csr:
+        return _csr(self._row_parts()[0], (len(self.b_eq), self.num_vars))
 
-        eq, le = self._row_parts()
-        return tuple(sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape) for A in (
-            _csr(eq, (len(self.b_eq), self.num_vars)), _csr(le, (len(self.b_le), self.num_vars))))
-
-    @property
-    def A_eq(self) -> sp.csr_matrix:
-        return self._matrices[0]
-
-    @property
-    def A_le(self) -> sp.csr_matrix:
-        return self._matrices[1]
+    @cached_property
+    def A_le(self) -> lp_solver.Csr:
+        return _csr(self._row_parts()[1], (len(self.b_le), self.num_vars))
 
     def row_sums(self, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``(A @ vec, |A| @ |vec|)`` for ``A_eq`` and ``A_le``, without assembling them.
@@ -353,23 +342,22 @@ class LpInstance:
 
     def to_lp_text(self) -> str:
         """Dump in LP interchange format for cross-checking with external solvers."""
-        import scipy.sparse as sp
-
         names = self.var_names()
 
-        def terms(row: sp.csr_matrix) -> str:
-            parts = []
-            for j, v in zip(row.indices, row.data):
-                sign = "+" if v >= 0 else "-"
-                parts.append(f"{sign} {abs(v):.12g} {names[j]}")
-            return " ".join(parts) if parts else "0 " + names[0]
+        def terms(cols: np.ndarray, vals: np.ndarray) -> list[str]:
+            return [f"{'+' if v >= 0 else '-'} {abs(v):.12g} {names[j]}"
+                    for j, v in zip(cols.tolist(), vals.tolist())]
 
-        lines = ["Maximize", " obj: " + terms(sp.csr_matrix(self.c))]
-        lines.append("Subject To")
-        for i in range(self.A_eq.shape[0]):
-            lines.append(f" e{i}: {terms(self.A_eq.getrow(i))} = {self.b_eq[i]:.12g}")
-        for i in range(self.A_le.shape[0]):
-            lines.append(f" l{i}: {terms(self.A_le.getrow(i))} <= {self.b_le[i]:.12g}")
+        def row(entries: list[str]) -> str:
+            return " ".join(entries) if entries else "0 " + names[0]
+
+        objective = np.flatnonzero(self.c)
+        lines = ["Maximize", " obj: " + row(terms(objective, self.c[objective])), "Subject To"]
+        for tag, A, sense, rhs in (("e", self.A_eq, "=", self.b_eq),
+                                   ("l", self.A_le, "<=", self.b_le)):
+            entries, bounds = terms(A.indices, A.data), A.indptr.tolist()
+            lines.extend(f" {tag}{i}: {row(entries[lo:hi])} {sense} {b:.12g}" for i, (lo, hi, b)
+                         in enumerate(zip(bounds[:-1], bounds[1:], rhs.tolist())))
         lines.append("Bounds")
         lines.extend(f" 0 <= {name}" for name in names)
         lines.append("End")

@@ -29,7 +29,7 @@ under its own name, so a later ``import scipy.optimize`` reuses it; if
 ``scipy.optimize`` was imported first, its module is reused instead (a
 pybind11 module must not be loaded twice).  Matrices are read only through
 their ``data``, ``indices``, ``indptr`` and ``shape`` (:class:`Csr`, or a
-scipy CSR matrix), so the solve path imports no ``scipy.sparse`` either.
+scipy CSR matrix), so no ``scipy.sparse`` is imported either.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ class Csr(NamedTuple):
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
 
 
 def _rows(A: Csr) -> np.ndarray:
@@ -207,31 +211,24 @@ def linprog(lp: StandardLp) -> HighsResult:
     """Minimize ``-c . x`` over ``lp`` by HiGHS.
 
     One HiGHS object, set to ``_HIGHS_OPTIONS``, is handed the LP once as
-    numpy arrays, rows stacked as ``scipy.optimize.linprog`` stacks them
-    (``A_le`` over ``A_eq``), so that HiGHS reads the same model.  The
-    column-wise matrix is the rows' entries sorted stably by column, the
-    order ``scipy.sparse.vstack((A_le, A_eq), format="csc")`` gives when no
-    (row, column) is stored twice.
+    numpy arrays: the rows as stored, ``A_le``'s over ``A_eq``'s as
+    ``scipy.optimize.linprog`` stacks them, so that HiGHS reads the same model.
     """
     n = len(lp.c)
     empty = Csr(np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, n))
     A_le, b_le = (empty, np.zeros(0)) if lp.A_le is None else (lp.A_le, lp.b_le)
     A_eq, b_eq = (empty, np.zeros(0)) if lp.A_eq is None else (lp.A_eq, lp.b_eq)
-    cols = np.concatenate((A_le.indices, A_eq.indices))
-    # one stable sort, on the narrowest key type: numpy radix-sorts keys of <= 16 bits
-    order = np.argsort(cols.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
-    rows = np.concatenate((_rows(A_le), A_le.shape[0] + _rows(A_eq)))[order]
-    per_col = np.bincount(cols, minlength=n)
     highs = _Highs()
     for name, value in _HIGHS_OPTIONS:
         if highs.setOptionValue(name, value) == HighsStatus.kError:
             return HighsResult(f"setOptionValue {name} returned an error")
     if highs.passModel(
-            n, len(b_le) + len(b_eq), len(cols), _highs.MatrixFormat.kColwise,
+            n, len(b_le) + len(b_eq), A_le.nnz + A_eq.nnz, _highs.MatrixFormat.kRowwise,
             _highs.ObjSense.kMinimize, 0.0, -lp.c, np.zeros(n), np.full(n, np.inf),
             np.concatenate((np.full(len(b_le), -np.inf), b_eq)), np.concatenate((b_le, b_eq)),
-            (np.cumsum(per_col) - per_col).astype(np.int32), rows.astype(np.int32),
-            np.concatenate((A_le.data, A_eq.data))[order].astype(float, copy=False),
+            np.concatenate((A_le.indptr[:-1], A_le.nnz + A_eq.indptr[:-1])).astype(np.int32),
+            np.concatenate((A_le.indices, A_eq.indices)).astype(np.int32),
+            np.concatenate((A_le.data, A_eq.data)).astype(float, copy=False),
             np.zeros(n, dtype=np.int32),
     ) == HighsStatus.kError:
         return HighsResult("passModel returned an error")

@@ -104,15 +104,13 @@ def split_distributions(
     boost = params.boost
     n, R = x.shape
     below = np.concatenate([np.zeros((n, 1)), np.cumsum(x, axis=1)[:, :-1]], axis=1)
-    # largest grid index with strictly-below mass <= boost
-    t_idx = (below <= boost + 1e-12).sum(axis=1) - 1
-    f = np.zeros_like(x)
-    fp = np.zeros_like(x)
+    # largest grid index with strictly-below mass <= boost; a relative slack
+    # keeps the discounted side's sum within 1e-12 of 1 for every boost
+    t_idx = (below <= boost * (1 + 1e-12)).sum(axis=1) - 1
+    position = np.arange(R) - t_idx[:, None]
+    f = np.where(position < 0, x / boost, 0.0)
+    fp = np.where(position > 0, x / (1.0 - boost), 0.0)
     rows = np.arange(n)
-    for b in range(n):
-        t = t_idx[b]
-        f[b, :t] = x[b, :t] / boost
-        fp[b, t + 1:] = x[b, t + 1:] / (1.0 - boost)
     f[rows, t_idx] = np.maximum(0.0, 1.0 - f.sum(axis=1))
     fp[rows, t_idx] = np.maximum(0.0, 1.0 - fp.sum(axis=1))
     for name, mat in (("discounted", f), ("inflated", fp)):

@@ -6,6 +6,8 @@ marginals, and ``without_empty_rows`` drops the inequality rows left reading
 no column.  ``reduced_lp`` emits the same LP straight from buyer orbits; the
 tests check that both agree array for array, each row's entries compared in
 column order, and that HiGHS is handed the same arrays from both.
+``lp_text`` is the LP interchange dump formatted row by row from scipy CSR
+matrices, the oracle of ``LpInstance.to_lp_text``.
 """
 
 from __future__ import annotations
@@ -31,10 +33,34 @@ def as_csr(A) -> sp.csr_matrix:
     return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
 
 
+def lp_text(instance: LpInstance) -> str:
+    """The instance's LP interchange dump, one scipy ``getrow`` per row."""
+    names = instance.var_names()
+
+    def terms(row: sp.csr_matrix) -> str:
+        parts = []
+        for j, v in zip(row.indices, row.data):
+            sign = "+" if v >= 0 else "-"
+            parts.append(f"{sign} {abs(v):.12g} {names[j]}")
+        return " ".join(parts) if parts else "0 " + names[0]
+
+    A_eq, A_le = as_csr(instance.A_eq), as_csr(instance.A_le)
+    lines = ["Maximize", " obj: " + terms(sp.csr_matrix(instance.c))]
+    lines.append("Subject To")
+    for i in range(A_eq.shape[0]):
+        lines.append(f" e{i}: {terms(A_eq.getrow(i))} = {instance.b_eq[i]:.12g}")
+    for i in range(A_le.shape[0]):
+        lines.append(f" l{i}: {terms(A_le.getrow(i))} <= {instance.b_le[i]:.12g}")
+    lines.append("Bounds")
+    lines.extend(f" 0 <= {name}" for name in names)
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
 def standard_lp(instance: LpInstance) -> lp_solver.StandardLp:
     """The instance's full LP as assembled CSR rows."""
-    return lp_solver.StandardLp(c=instance.c, A_eq=instance.A_eq, b_eq=instance.b_eq,
-                                A_le=instance.A_le, b_le=instance.b_le)
+    return lp_solver.StandardLp(c=instance.c, A_eq=as_csr(instance.A_eq), b_eq=instance.b_eq,
+                                A_le=as_csr(instance.A_le), b_le=instance.b_le)
 
 
 def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
@@ -92,9 +118,9 @@ def symmetry_quotient(instance: LpInstance) -> lp_solver.Quotient:
     return lp_solver.Quotient(
         lp=lp_solver.StandardLp(
             c=(orbit_sum.T @ instance.c) / size,
-            A_eq=(instance.A_eq[eq_rows] @ orbit_sum @ spread).tocsr(),
+            A_eq=(as_csr(instance.A_eq)[eq_rows] @ orbit_sum @ spread).tocsr(),
             b_eq=instance.b_eq[eq_rows],
-            A_le=(instance.A_le[le_rows] @ orbit_sum @ spread).tocsr(),
+            A_le=(as_csr(instance.A_le)[le_rows] @ orbit_sum @ spread).tocsr(),
             b_le=instance.b_le[le_rows],
         ),
         expand=(orbit_sum @ spread).tocsr(),

@@ -1,7 +1,8 @@
 """What the program imports: HiGHS's binding without ``scipy.optimize``, and
-no scipy module the solve path does not call.  Each check that depends on
-import order runs in a fresh interpreter."""
+no scipy module a command does not call.  Each check that depends on import
+order runs in a fresh interpreter."""
 
+import ast
 import json
 import os
 import subprocess
@@ -88,3 +89,52 @@ print(json.dumps({{"bench": rc, "loaded": loaded, "tables": tables}}))
 """)
     assert out == {"bench": 0, "loaded": [], "tables": 0}
     assert "snapshot: match" in (tmp_path / "tables.txt").read_text()
+
+
+UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
+
+
+def test_commands_import_no_unused_scipy(tmp_path):
+    """``solve --lp-dump``, ``round``, ``probe``, ``verify`` and each ``gen``
+    kind leave ``scipy.sparse``, ``scipy.optimize``, ``scipy.integrate`` and
+    ``scipy.special`` unloaded; ``tables`` then loads ``integrate`` and
+    ``special``."""
+    ds, report = str(tmp_path / "ds.json"), str(tmp_path / "report.json")
+    lp = ["--dataset", ds, "--format", "json"]
+    runs = [
+        ["gen", "random", "--buyers", "4", "--auctions", "3", "--out", ds],
+        ["gen", "correlated", "--out", str(tmp_path / "correlated.json")],
+        ["gen", "bad-example", "--k", "3", "--out", str(tmp_path / "bad.json"),
+         "--fractional-out", str(tmp_path / "fractional.json")],
+        ["solve", *lp, "--out", str(tmp_path / "solve.json"),
+         "--lp-dump", str(tmp_path / "dump.lp")],
+        ["round", *lp, "--out", report, "--vector-out", str(tmp_path / "vector.json")],
+        ["probe", *lp, "--out", str(tmp_path / "probe.json")],
+        ["verify", "--report", report, "--out", str(tmp_path / "verify.json")],
+    ]
+    out = run_fresh(f"""
+import json, sys
+from evcg_reserves import cli
+codes = [cli.main(argv) for argv in {runs!r}]
+loaded = [m for m in {UNUSED!r} if m in sys.modules]
+tables = cli.main(["tables", "--out", {str(tmp_path / "tables.txt")!r}])
+needed = [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+print(json.dumps({{"codes": codes, "loaded": loaded, "tables": tables, "needed": needed}}))
+""")
+    assert out == {"codes": [0] * len(runs), "loaded": [], "tables": 0,
+                   "needed": ["scipy.integrate", "scipy.special"]}
+    assert (tmp_path / "dump.lp").read_text().startswith("Maximize")
+
+
+def test_src_never_imports_scipy_sparse():
+    """No module of the package imports ``scipy.sparse``, at top level or inside a function."""
+    for path in sorted(Path(evcg_reserves.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name == "scipy.sparse" or name.startswith("scipy.sparse.")
+                           for name in names), (path.name, node.lineno)

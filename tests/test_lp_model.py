@@ -35,6 +35,7 @@ from evcg_reserves.lp_model import (
 from .conftest import desk_instances, grid_of, make_dataset
 from .lp_oracle import (
     as_csr,
+    lp_text,
     marginal_form,
     standard_lp,
     symmetry_quotient,
@@ -612,10 +613,24 @@ def oracle_instances() -> list[BidDataset]:
 
 def same_csr(a, b) -> bool:
     """Same shape and entries, compared in canonical (sorted-index) storage:
-    HiGHS reads the rows stacked column-wise, never their in-row order."""
+    in-row order does not change HiGHS's result (``test_highs_ignores_in_row_order``)."""
     a, b = as_csr(a).sorted_indices(), as_csr(b).sorted_indices()
     return a.shape == b.shape and all(np.array_equal(getattr(a, part), getattr(b, part))
                                       for part in ("data", "indices", "indptr"))
+
+
+def passed_matrix(args: tuple) -> sp.csr_matrix:
+    """The row-wise matrix a recorded ``passModel`` call was handed."""
+    num_col, num_row, num_nz = args[:3]
+    start, index, value = args[11:14]
+    return sp.csr_matrix((value, index, np.r_[start, num_nz]), shape=(num_row, num_col))
+
+
+def shuffle_rows(A, rng: np.random.Generator) -> lp_solver.Csr:
+    """``A`` with the entries of each row in a random order."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    order = np.lexsort((rng.random(len(rows)), rows))
+    return lp_solver.Csr(A.data[order], A.indices[order], A.indptr, A.shape)
 
 
 class TestReducedLp:
@@ -626,10 +641,11 @@ class TestReducedLp:
         """Array for array, once the chain's rows that read no column are
         gone, so HiGHS takes the same path; each of those rows reads
         0 <= rhs with rhs >= 0.  Rows may list their entries in another
-        order, which HiGHS never reads: what linprog hands passModel (the
-        column-wise matrix, the costs, the column and row bounds) is equal
-        bit for bit.  The sizes the report gives are the assembled
-        matrices' shapes."""
+        order, which does not change HiGHS's result
+        (``test_highs_ignores_in_row_order``): what linprog hands passModel
+        is the same matrix in column-wise form, and the costs, the column
+        and row bounds are equal bit for bit.  The sizes the report gives
+        are the assembled matrices' shapes."""
         passed = []
 
         class Recording(lp_solver._Highs):
@@ -652,11 +668,15 @@ class TestReducedLp:
             for lp in (reduced.lp, oracle.lp):
                 assert lp_solver.linprog(lp).status == "passModel returned an error"
             assert len(passed[-2]) == len(passed[-1]) == 15, i
-            for a, b in zip(*passed[-2:]):
+            for a, b in zip(passed[-2][:11] + passed[-2][14:], passed[-1][:11] + passed[-1][14:]):
                 if isinstance(a, np.ndarray):
                     assert a.dtype == b.dtype and np.array_equal(a, b), i
                 else:
                     assert a == b, i
+            new_cols, old_cols = (passed_matrix(args).tocsc() for args in passed[-2:])
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(new_cols, part), getattr(old_cols, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, part)
             new, old = reduced.expand, oracle.expand
             assert same_csr(new.spread, old.spread)
             for name in ("w_p", "w_u", "p_group", "u_group", "p_count", "u_count", "p_at",
@@ -723,9 +743,9 @@ class TestReducedLp:
 
 
     def test_highs_matrix_matches_scipy_stacking(self, monkeypatch):
-        """linprog stacks ``A_le`` over ``A_eq`` column-wise in numpy; what it
-        hands passModel is, dtype and bits, what the arrays of
-        ``sp.vstack((A_le, A_eq), format="csc")`` become, also with either
+        """linprog hands passModel the rows as stored, ``A_le``'s over
+        ``A_eq``'s: row-wise, and, dtype and bits, what the arrays of
+        ``sp.vstack((A_le, A_eq), format="csr")`` become, also with either
         block absent."""
         passed = []
 
@@ -747,14 +767,34 @@ class TestReducedLp:
                     rows.update(A_eq=lp.A_eq, b_eq=lp.b_eq)
                 lp_solver.linprog(lp_solver.StandardLp(c=lp.c, **rows))
                 A = sp.vstack([as_csr(rows[name]) if name in rows else sp.csr_matrix((0, n))
-                               for name in ("A_le", "A_eq")], format="csc")
+                               for name in ("A_le", "A_eq")], format="csr")
                 args = passed[-1]
-                assert args[1:3] == (A.shape[0], A.nnz), i
-                expected = (A.indptr[:n].astype(np.int32, copy=False),
+                assert args[1:4] == (A.shape[0], A.nnz, lp_solver._highs.MatrixFormat.kRowwise), i
+                expected = (A.indptr[:-1].astype(np.int32, copy=False),
                             A.indices.astype(np.int32, copy=False),
                             A.data.astype(float, copy=False))
                 for got, want in zip(args[11:14], expected):
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+
+    def test_highs_ignores_in_row_order(self):
+        """HiGHS reads the rows as stored; shuffling the entries within each
+        row, by a seeded permutation, leaves its point, objective and
+        iteration count bit for bit as they were."""
+        rng = np.random.Generator(np.random.Philox(151))
+        cases = oracle_instances()[::8] + [bad_example(BadExampleSpec(k=69))]
+        moved = 0
+        for i, ds in enumerate(cases):
+            lp = reduced_lp(build_lp(ds, grid_of(ds))).lp
+            shuffled = {name: shuffle_rows(getattr(lp, name), rng) for name in ("A_eq", "A_le")}
+            moved += sum(not np.array_equal(A.indices, getattr(lp, name).indices)
+                         for name, A in shuffled.items())
+            base = lp_solver.linprog(lp)
+            other = lp_solver.linprog(lp_solver.StandardLp(
+                c=lp.c, b_eq=lp.b_eq, b_le=lp.b_le, **shuffled))
+            assert base.status == other.status == "Optimal", i
+            assert base.x.tobytes() == other.x.tobytes(), i
+            assert base.fun == other.fun and base.nit == other.nit, i
+        assert moved >= len(cases)
 
     def test_coupling_spread_matches_csr_matvec(self):
         """The coupling spreads its columns by summing into zeros, bit for
@@ -913,6 +953,15 @@ class TestInterchangeDump:
         assert sum(line.startswith(" l") for line in lines) == 7 + 7 + 1
         assert [line for line in lines if line.startswith(" 0 <= ")] == [
             f" 0 <= {name}" for name in inst.var_names()]
+
+    def test_dump_matches_row_by_row_formatter(self):
+        """The dump, formatted from the CSR arrays at once, is byte for byte
+        the one scipy's ``getrow`` formatter writes row by row."""
+        cases = oracle_instances() + wide_bid_instances(6, seed=157)
+        cases += [bad_example(BadExampleSpec(k=k)) for k in range(2, 9)]
+        for i, ds in enumerate(cases):
+            instance = build_lp(ds, grid_of(ds))
+            assert instance.to_lp_text() == lp_text(instance), i
 
     def test_interpret_round_trip(self, two_bidder_k1):
         inst = build_lp(two_bidder_k1, grid_of(two_bidder_k1))

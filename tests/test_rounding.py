@@ -50,6 +50,17 @@ class TestSplit:
         assert np.allclose(s.discounted[0], [1.0, 0.0, 0.0])
         assert np.allclose(s.inflated[0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("boost, below", [(1e-4, 1e-4 + 5e-13), (1e-13, 5e-13)])
+    def test_small_boost_splits(self, boost, below):
+        # the below-mass passes boost by less than 1e-12, which an absolute
+        # slack admitted at the threshold and the discounted side then summed
+        # to 1 + 5e-9 (boost 1e-4) or 5 (boost 1e-13)
+        s = split_distributions(np.array([[below, 1.0 - below]]), ReserveGrid((0, 1)),
+                                RoundingParams(boost=boost))
+        assert s.thresholds == (0,)
+        for side in (s.discounted, s.inflated):
+            assert abs(side.sum() - 1.0) <= 1e-12
+
     def test_negative_mass_rejected(self):
         x = masses(GRID_0_5_10, [{0: 1.1, 5: -0.1}])
         with pytest.raises(ValueError):
