@@ -13,6 +13,7 @@ written report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -116,7 +117,7 @@ def cmd_round(args) -> int:
         boost=args.boost, num_samples=args.samples, rng_seed=args.seed
     )
     instance, solution = _solve(args, augmented, grid)
-    out = rounding.best_of_three(augmented, solution, params, threads=args.threads)
+    out = rounding.best_of_three(augmented, solution, params)
     doc = report.make_report("round", augmented, _config_section(args))
     doc["lp"] = _lp_section(instance, solution)
     report.add_method(doc, "discounted", dataset=augmented,
@@ -170,7 +171,7 @@ def cmd_bench(args) -> int:
         doc["methods"]["brute_force"] = {"skipped": str(exc)}
 
     if solution is not None:
-        out = rounding.best_of_three(augmented, solution, params, threads=args.threads)
+        out = rounding.best_of_three(augmented, solution, params)
         report.add_method(doc, "best_of_three", dataset=augmented,
                           reserves=out.chosen_vector, revenue=out.chosen_revenue,
                           extra={
@@ -307,11 +308,15 @@ def cmd_probe(args) -> int:
     doc = report.make_report("probe", augmented, _config_section(args))
     doc["lp"] = _lp_section(instance, solution)
     rows = []
+    taus = probes.payment_thresholds(solution)
+    if taus:  # one split and one pair of draws serve every (auction, tau)
+        first = probes.make_probe_context(solution, 0, taus[0], boost=args.boost)
+        draws = rounding.sample_splits(first.splits, args.seed, args.samples)
     for a in range(augmented.num_auctions):
         kth = kth_plus_one_bid(augmented, a)
-        for tau in probes.payment_thresholds(solution):
-            ctx = probes.make_probe_context(solution, a, tau, boost=args.boost)
-            phi = probes.probe_phi(ctx, num_samples=args.samples, seed=args.seed)
+        for tau in taus:
+            ctx = dataclasses.replace(first, auction_index=a, tau=tau)
+            phi = probes.estimate_phi(ctx, draws)
             f_value, delta = probes.probe_F_delta(ctx)
             part = probes.subprofile_partition(ctx)
             rows.append({
@@ -336,8 +341,7 @@ def cmd_probe(args) -> int:
 
 
 def _config_section(args) -> dict:
-    # threads is an execution detail: reports must be byte-identical across
-    # worker counts, so it stays out of the canonical payload
+    # --threads has no effect (README), so it stays out of the canonical payload
     keys = ("dataset", "boost", "samples", "seed",
             "max_subprofiles", "tol_feas", "brute_cap")
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}

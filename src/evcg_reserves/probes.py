@@ -18,23 +18,20 @@ import numpy as np
 from .auction import batch_evaluator
 from .lp_model import LpInstance, LpSolution
 from .rounding import (
-    DISCOUNTED_STREAM,
-    INFLATED_STREAM,
     RoundingParams,
     SplitDistributions,
     masses_matrix,
     normalise_masses,
-    sample_matrix,
+    sample_splits,
     split_distributions,
 )
 
 
 @dataclass(frozen=True)
 class ProbeContext:
-    """One (auction, tau) probe against a solved LP.
-
-    Carries the rounding splits and the per-buyer closed-form probability of
-    landing in [tau, bid] under the inflated draw.
+    """One (auction, tau) probe against a solved LP.  The masses and their
+    split depend only on the LP and ``boost``; ``dataclasses.replace`` moves a
+    context to another (auction, tau) and keeps them.
     """
 
     lp: LpSolution
@@ -43,7 +40,6 @@ class ProbeContext:
     boost: float
     splits: SplitDistributions
     x_matrix: np.ndarray           # renormalized per-buyer reserve masses
-    hit_prob_inflated: np.ndarray  # Pr[tau <= r'_b <= bid_b]
 
     @property
     def bids(self) -> tuple[int, ...]:
@@ -64,17 +60,12 @@ def make_probe_context(
 ) -> ProbeContext:
     if tau <= 0:
         raise ValueError("tau must be positive")
-    dataset = lp.dataset
-    grid = lp.grid
-    x = normalise_masses(masses_matrix(lp.x_masses, grid, dataset.num_buyers))
-    splits = split_distributions(x, grid, RoundingParams(boost=boost))
-    values = np.array(grid.values)
-    bids = np.array(dataset.auctions[auction_index].bids)[:, None]
-    hits = (values >= tau) & (values <= bids)
+    if not 0 <= auction_index < lp.dataset.num_auctions:
+        raise IndexError("auction index out of range")
+    x = normalise_masses(masses_matrix(lp.x_masses, lp.grid, lp.dataset.num_buyers))
     return ProbeContext(
-        lp=lp, auction_index=auction_index, tau=tau, boost=boost, splits=splits,
-        x_matrix=x,
-        hit_prob_inflated=_ordered_sum(splits.inflated, hits),
+        lp=lp, auction_index=auction_index, tau=tau, boost=boost,
+        splits=split_distributions(x, lp.grid, RoundingParams(boost=boost)), x_matrix=x,
     )
 
 
@@ -96,37 +87,39 @@ class PhiEstimate(NamedTuple):
     mass_above: float
 
 
-def probe_phi(ctx: ProbeContext, *, num_samples: int = 1000, seed: int = 0) -> PhiEstimate:
+def estimate_phi(ctx: ProbeContext, draws: tuple[np.ndarray, np.ndarray]) -> PhiEstimate:
     """Monte-Carlo estimate of the per-auction slack
 
         mass_above - (1 - boost) E[W(r', tau)] - boost E[W(r, tau)],
 
     with W counting winners paying at least tau.  The mass term is exact;
-    both expectations are estimated from ``num_samples`` independent draws,
-    and the reported standard error combines the two sample means.
+    both expectations are sample means over ``draws``, the (discounted,
+    inflated) rows of :func:`rounding.sample_splits`, at least two each, and
+    the reported standard error combines the two.  The draws depend only on
+    the split and the seed, so the probes of one run can share them.
     """
-    if num_samples < 2:
-        raise ValueError("num_samples must be at least 2 for a standard error")
-    dataset = ctx.lp.dataset
-    evaluator = batch_evaluator(dataset)
-    disc = sample_matrix(ctx.splits.discounted, ctx.splits.grid, seed,
-                         DISCOUNTED_STREAM, num_samples)
-    infl = sample_matrix(ctx.splits.inflated, ctx.splits.grid, seed,
-                         INFLATED_STREAM, num_samples)
-    w_disc = evaluator.winners_above(ctx.auction_index, disc, ctx.tau).astype(float)
-    w_infl = evaluator.winners_above(ctx.auction_index, infl, ctx.tau).astype(float)
+    evaluator = batch_evaluator(ctx.lp.dataset)
+    w_disc, w_infl = (evaluator.winners_above(ctx.auction_index, rows, ctx.tau).astype(float)
+                      for rows in draws)
     beta = ctx.boost
     exact = mass_above(ctx)
     value = exact - (1.0 - beta) * w_infl.mean() - beta * w_disc.mean()
     var = (
         (1.0 - beta) ** 2 * w_infl.var(ddof=1)
         + beta**2 * w_disc.var(ddof=1)
-    ) / num_samples
+    ) / len(w_disc)
     return PhiEstimate(
         value=float(value),
         stderr=float(np.sqrt(var)),
         mass_above=exact,
     )
+
+
+def probe_phi(ctx: ProbeContext, *, num_samples: int = 1000, seed: int = 0) -> PhiEstimate:
+    """:func:`estimate_phi` from ``num_samples`` draws per side of the split."""
+    if num_samples < 2:
+        raise ValueError("num_samples must be at least 2 for a standard error")
+    return estimate_phi(ctx, sample_splits(ctx.splits, seed, num_samples))
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,10 @@ def probe_F_delta(ctx: ProbeContext) -> tuple[float, float]:
     high-bid sub-profile mass divided by num_items.
     """
     k = ctx.lp.dataset.num_items
-    inflated_sum = float(ctx.hit_prob_inflated.sum())
+    values = np.array(ctx.lp.grid.values)
+    hits = (values >= ctx.tau) & (values <= np.array(ctx.bids)[:, None])
+    # Pr[tau <= r'_b <= bid_b] per buyer, summed
+    inflated_sum = float(_ordered_sum(ctx.splits.inflated, hits).sum())
     f_value = mass_above(ctx) - (1.0 - ctx.boost) * min(inflated_sum, float(k))
     s, inst, cols = _columns(ctx)
     high = np.flatnonzero([bid >= ctx.tau for bid in ctx.bids])

@@ -7,12 +7,11 @@ the residual of each side.  Reserve vectors drawn from the two splits plus
 the all-zero vector form the best-of-three candidate set.
 
 Sampling uses a counter-based generator keyed per (seed, stream, buyer), so
-per-buyer draws are independent of evaluation order and thread count.
+per-buyer draws are independent of evaluation order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +150,14 @@ def sample_matrix(
     return out
 
 
+def sample_splits(
+    splits: SplitDistributions, seed: int, num_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``num_samples`` draws from each side of the split: (discounted, inflated)."""
+    return (sample_matrix(splits.discounted, splits.grid, seed, DISCOUNTED_STREAM, num_samples),
+            sample_matrix(splits.inflated, splits.grid, seed, INFLATED_STREAM, num_samples))
+
+
 @dataclass(frozen=True)
 class RoundingOutput:
     """The three candidate vectors, their exact revenues, and the winner."""
@@ -175,14 +182,9 @@ class RoundingOutput:
                 "zero": self.zero_revenue}[self.chosen]
 
 
-def _best_row(evaluator, samples: np.ndarray, threads: int) -> tuple[tuple[int, ...], int]:
+def _best_row(evaluator, samples: np.ndarray) -> tuple[tuple[int, ...], int]:
     """Exact revenue of each sampled row; first row attaining the max wins."""
-    if threads > 1 and samples.shape[0] >= threads:
-        chunks = np.array_split(samples, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            revs = np.concatenate(list(pool.map(evaluator.revenues, chunks)))
-    else:
-        revs = evaluator.revenues(samples)
+    revs = evaluator.revenues(samples)
     best = int(np.argmax(revs))
     return tuple(int(v) for v in samples[best]), int(revs[best])
 
@@ -191,25 +193,20 @@ def best_of_three(
     dataset: BidDataset,
     lp_solution,
     params: RoundingParams,
-    *,
-    threads: int = 1,
 ) -> RoundingOutput:
     """Sample both splits, keep each side's best draw, and compare with all-zero.
 
     Draws ``num_samples`` vectors per side and keeps the best realized one,
     which can only improve on a single draw; results are reproducible from
-    the seed and independent of ``threads``.
+    the seed.
     """
     grid = lp_solution.grid
     x = masses_matrix(lp_solution.x_masses, grid, dataset.num_buyers)
     splits = split_distributions(x, grid, params)
     evaluator = batch_evaluator(dataset)
-    disc = sample_matrix(splits.discounted, splits.grid, params.rng_seed,
-                         DISCOUNTED_STREAM, params.num_samples)
-    infl = sample_matrix(splits.inflated, splits.grid, params.rng_seed,
-                         INFLATED_STREAM, params.num_samples)
-    best_disc, rev_disc = _best_row(evaluator, disc, threads)
-    best_infl, rev_infl = _best_row(evaluator, infl, threads)
+    disc, infl = sample_splits(splits, params.rng_seed, params.num_samples)
+    best_disc, rev_disc = _best_row(evaluator, disc)
+    best_infl, rev_infl = _best_row(evaluator, infl)
     zero = zero_reserves(dataset)
     rev_zero = int(evaluator.revenues(np.array([zero]))[0])
     chosen = "discounted"

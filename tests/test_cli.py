@@ -260,6 +260,13 @@ class TestProbe:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_all_zero_bids_probe_nothing(self, tmp_path):
+        """No positive grid value, so no tau: no context is built and no row written."""
+        ds, out = tmp_path / "zero.json", tmp_path / "probe.json"
+        ds.write_text(json.dumps({**DATASET, "auctions": [{"weight": 1, "bids": ["0"] * 3}]}))
+        assert run(["probe", "--dataset", str(ds), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["probe_rows"] == []
+
 
 class TestExitCodes:
     def test_size_guard(self, dataset_file):

@@ -72,8 +72,8 @@ def test_missing_binding_names_scipy_version(tmp_path, monkeypatch):
 
 def test_bench_imports_no_unused_scipy(tmp_path):
     """The modules ``perfbench/run.py`` imports, and one ``bench`` run, leave
-    ``scipy.optimize``, ``scipy.integrate``, ``scipy.special`` and
-    ``scipy.sparse`` unloaded; ``tables`` still loads what it needs."""
+    ``scipy.optimize``, ``scipy.integrate``, ``scipy.special``, ``scipy.sparse``
+    and ``concurrent.futures`` unloaded; ``tables`` still loads what it needs."""
     out = run_fresh(f"""
 import json, sys
 import evcg_reserves
@@ -82,8 +82,8 @@ from evcg_reserves import (auction, baselines, cli, datasets, lp_model, lp_solve
 datasets.save_dataset(datasets.random_dataset(4, 3, 1, 5), {str(tmp_path / "ds.json")!r})
 rc = cli.main(["bench", "--dataset", {str(tmp_path / "ds.json")!r}, "--seed", "1",
                "--threads", "1", "--format", "json", "--out", {str(tmp_path / "r.json")!r}])
-loaded = sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.sparse")
-                if m in sys.modules)
+loaded = sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.sparse",
+                            "concurrent.futures") if m in sys.modules)
 tables = cli.main(["tables", "--out", {str(tmp_path / "tables.txt")!r}])
 print(json.dumps({{"bench": rc, "loaded": loaded, "tables": tables}}))
 """)

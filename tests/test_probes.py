@@ -1,9 +1,13 @@
 """Threshold diagnostics: partition exactness, F/delta, phi estimates."""
 
+import json
+
 import numpy as np
 import pytest
 
-from evcg_reserves.auction import kth_plus_one_bid
+from evcg_reserves import cli
+from evcg_reserves.auction import AuctionColumn, BidDataset, kth_plus_one_bid
+from evcg_reserves.datasets import format_money, save_dataset
 from evcg_reserves.lp_model import build_lp, solve_lp
 from evcg_reserves.probes import (
     exact_split_inflated_term,
@@ -16,6 +20,7 @@ from evcg_reserves.probes import (
 )
 
 from .conftest import desk_instances, grid_of, make_dataset
+from .test_lp_model import oracle_instances
 
 
 def solved(ds):
@@ -120,3 +125,35 @@ class TestPhi:
         sol = solved(three_bidder_k2)
         with pytest.raises(ValueError):
             make_probe_context(sol, 0, tau=0)
+
+    def test_rejects_auction_index_out_of_range(self, three_bidder_k2):
+        sol = solved(three_bidder_k2)
+        for a in (-1, three_bidder_k2.num_auctions):
+            with pytest.raises(IndexError, match="auction index out of range"):
+                make_probe_context(sol, a, tau=5)
+
+
+def test_cli_rows_match_per_context_probes(tmp_path):
+    """``probe``'s rows, built from one split and one pair of draws per run,
+    equal bit for bit those of a fresh context and fresh draws per (auction, tau)."""
+    keys = ("auction", "tau", "phi", "phi_stderr", "mass_above", "f_value", "delta",
+            "t_mass", "j_plus_mass", "j_minus_mass", "l_mass")
+    for i, ds in enumerate(oracle_instances()):
+        n = ds.num_real_buyers  # the file holds the dataset before augmentation
+        save_dataset(BidDataset(ds.num_items, ds.buyers[:n], scale=ds.scale, auctions=tuple(
+            AuctionColumn(col.weight, col.bids[:n]) for col in ds.auctions)), tmp_path / "ds.json")
+        assert cli.main(["probe", "--dataset", str(tmp_path / "ds.json"), "--samples", "8",
+                         "--seed", "3", "--format", "json", "--out", str(tmp_path / "p.json")]) == 0
+        rows = json.loads((tmp_path / "p.json").read_text())["probe_rows"]
+        sol = solved(ds)
+        fresh = []
+        for a in range(ds.num_auctions):
+            for tau in payment_thresholds(sol):
+                ctx = make_probe_context(sol, a, tau, boost=0.55)
+                phi = probe_phi(ctx, num_samples=8, seed=3)
+                part = subprofile_partition(ctx)
+                fresh.append((a, format_money(tau, ds.scale), *phi, *probe_F_delta(ctx),
+                              part.t_mass, part.j_plus_mass, part.j_minus_mass, part.l_mass))
+        # JSON keeps each float's shortest round-trip repr, so repr compares bits
+        # (and tells -0.0 and nan apart)
+        assert repr([tuple(row[k] for k in keys) for row in rows]) == repr(fresh), i

@@ -181,14 +181,6 @@ class TestBestOfThree:
             )
             assert out.zero_revenue == revenue(ds, zero_reserves(ds))
 
-    def test_threads_do_not_change_results(self):
-        ds = bad_example(BadExampleSpec(k=2))
-        sol = solve_lp(build_lp(ds, grid_of(ds)))
-        params = RoundingParams(num_samples=64, rng_seed=9)
-        serial = best_of_three(ds, sol, params, threads=1)
-        threaded = best_of_three(ds, sol, params, threads=8)
-        assert serial == threaded
-
 
 class TestSimpleRounding:
     def test_integral_masses_deterministic(self, two_bidder_k1):
