@@ -268,8 +268,10 @@ class _BatchEvaluator:
             raise ValueError("batch evaluation requires an augmented dataset")
         self.top = max(max(a.bids) for a in dataset.auctions)
         self.bound = sum(a.weight * dataset.num_items * max(a.bids) for a in dataset.auctions)
-        # :meth:`row` clips reserves to top + 1, so that value must fit as well
-        self.dtype = np.int64 if max(self.bound, self.top + 1) < 2**63 else object
+        # :meth:`row` clips reserves to top + 1, and ``weights`` holds an
+        # all-zero auction's weight, which adds nothing to the bound: both must fit
+        self.dtype = np.int64 if max(self.bound, self.top + 1,
+                                     *(a.weight for a in dataset.auctions)) < 2**63 else object
         self.dataset = dataset
         self.k = dataset.num_items
         self.weights = np.array([a.weight for a in dataset.auctions], dtype=self.dtype)

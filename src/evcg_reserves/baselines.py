@@ -112,57 +112,45 @@ def _candidate_reserves(dataset: BidDataset, grid: ReserveGrid) -> list[list[int
     return [[v for v, keep in zip(grid.values, row) if keep] for row in mask.tolist()]
 
 
-def _bid_order_revenues(evaluator, auction_index: int, classes, dtype) -> np.ndarray:
-    """Revenue of one auction (unweighted) over a product of reserve classes.
+def _bid_order_revenues(evaluator, auction_index: int, reserves, dtype) -> np.ndarray:
+    """Revenue of one auction (unweighted) over a product of reserves.
 
-    ``classes[b] = (reserves, uncleared)`` lays real buyer b's classes along
-    axis b: one per reserve at or below its bid, then the uncleared one if
-    set.  The buyers are visited from the last in bid order to the first,
-    keeping per count c of buyers cleared before the current one the
-    supporter's bid F(c) and, for c < k, the winners' payments G(c) from the
-    current buyer on; past the last real buyer both are 0 (the auxiliaries
-    clear at bid 0).  A cleared class with reserve r gives F(c) = F'(c + 1),
-    or the own bid when c = k, and G(c) = max(r, F'(c + 1)) + G'(c + 1) with
-    G'(k) = 0; the uncleared class keeps F'(c) and G'(c).  Only reachable
-    counts are kept and F(0) is never read, so every array spans only the
-    buyers visited.  Returns G(0), which broadcasts to the class product.
+    ``reserves[b]`` lays real buyer b's reserves, ascending, along axis b.
+    The buyers are visited from the last in bid order to the first, keeping
+    per count c of buyers cleared before the current one the supporter's bid
+    F(c) and, for c < k, the winners' payments G(c) from the current buyer
+    on; past the last real buyer both are 0 (the auxiliaries clear at bid 0).
+    A reserve r at or below the bid clears: F(c) = F'(c + 1), or the own bid
+    when c = k, and G(c) = max(r, F'(c + 1)) + G'(c + 1) with G'(k) = 0; a
+    reserve above it keeps F'(c) and G'(c).  Only reachable counts are kept
+    and F(0) is never read.  Every state array spans the same axes, those
+    of the buyers visited that clear at some reserve, so each step writes
+    its payments in place.  Returns G(0), which broadcasts to the reserve
+    product.
     """
-    n, k = len(classes), evaluator.k
+    n, k = len(reserves), evaluator.k
     zero = np.zeros((1,) * n, dtype=dtype)
     support, paid = [zero] * (k + 1), [zero] * k
     # in bid order, where every real buyer precedes every auxiliary one
     bids = evaluator.bids[auction_index, :n].astype(dtype)
     for pos in range(n - 1, -1, -1):
         buyer = int(evaluator.order[auction_index, pos])
-        reserves, uncleared = classes[buyer]
-        if not len(reserves):  # never clears: every count passes on unchanged
+        r = reserves[buyer].reshape((1,) * buyer + (-1,) + (1,) * (n - 1 - buyer))
+        clears = r <= bids[pos]
+        m = int(np.count_nonzero(clears))
+        if not m:  # never clears: every count passes on unchanged
             continue
-        r = reserves.reshape((1,) * buyer + (-1,) + (1,) * (n - 1 - buyer))
-        cleared = (slice(None),) * buyer + (slice(0, len(reserves)),)
-        rest = (slice(None),) * buyer + (slice(len(reserves), None),)
-
-        def by_class(*parts):  # every axis has length 1 or the buyer's class count
-            shape = list(map(max, *(x.shape for x in parts)))
-            shape[buyer] = len(reserves) + uncleared
-            return np.empty(shape, dtype=dtype)
-
+        rest = (slice(None),) * buyer + (slice(m, None),)  # ascending: the uncleared suffix
         next_paid, next_support = [], [None]
         for c in range(min(pos, k - 1) + 1):
-            after = paid[c + 1 : c + 2]  # empty when c + 1 = k
-            out = by_class(r, support[c + 1], *after, *([paid[c]] if uncleared else []))
-            np.maximum(r, support[c + 1], out=out[cleared])
-            for g in after:
-                np.add(out[cleared], g, out=out[cleared])
-            if uncleared:
-                out[rest] = paid[c]
+            out = np.maximum(r, support[c + 1])
+            if c + 1 < k:
+                out += paid[c + 1]
+            out[rest] = paid[c]
             next_paid.append(out)
         for c in range(1, min(pos, k) + 1):
-            hit = support[c + 1] if c < k else bids[pos : pos + 1].reshape((1,) * n)
-            if uncleared:
-                out = by_class(hit, support[c])
-                out[cleared], out[rest] = hit, support[c]
-                hit = out
-            next_support.append(hit)
+            hit = support[c + 1] if c < k else bids[pos]
+            next_support.append(np.where(clears, hit, support[c]))
         support, paid = next_support, next_paid
     return paid[0]
 
@@ -208,13 +196,14 @@ def brute_force_opt(
     """Exact maximizer over the candidate product; ties break lexicographically.
 
     In one auction a buyer's candidates above its bid all leave it
-    uncleared, so they form one class and each other candidate its own.
-    Each auction is evaluated on its class product, slab by slab
-    (:func:`_slabs`, :func:`_bid_order_revenues`), and added into one tensor
-    over the candidate product: by :func:`_gather` on the later axes, by
-    slices (the uncleared class broadcast) on the axes up to two past the
-    split.  The tensor's first maximum in C order is the first in
-    lexicographic order.  Auxiliary reserves stay 0.  Refuses with
+    uncleared, so they form one class, which the first of them stands for,
+    and each other candidate its own.  Each auction is evaluated on its
+    class product, slab by slab (:func:`_slabs`, :func:`_bid_order_revenues`),
+    and added into one tensor over the candidate product: by :func:`_gather`
+    on the later axes, by slices (the uncleared class broadcast) on the axes
+    up to two past the split.  The tensor's first maximum in C order is the
+    first in lexicographic order; with no real buyer the tensor is one zero.
+    Auxiliary reserves stay 0.  Refuses with
     :class:`SizeGuardError` when the candidate product exceeds
     ``max_evals``, before anything is allocated, so the tensor has at most
     ``max_evals`` entries of at most 8 bytes (Python ints past 2^63).
@@ -230,9 +219,6 @@ def brute_force_opt(
                 f"brute force would need {total}+ evaluations (cap {max_evals})"
             )
     evaluator = batch_evaluator(dataset)
-    if not cands:  # no real buyer: the zero vector is the only candidate
-        vec = zero_reserves(dataset)
-        return vec, int(evaluator.revenues(evaluator.row(vec))[0])
     # no entry exceeds the evaluator's bound: the narrowest type holding it is exact
     dtype = np.dtype(object if evaluator.dtype is object else np.min_scalar_type(evaluator.bound))
     values = [np.array(c, dtype=dtype) for c in cands]
@@ -246,7 +232,7 @@ def brute_force_opt(
         split, slabs = _slabs(classes, sizes, dtype.itemsize)
         lead = min(split + 2, len(sizes) - 1)
         for ranges in slabs:
-            part = [(v[lo : min(hi, m)], hi > m) for v, m, (lo, hi) in zip(values, cleared, ranges)]
+            part = [v[lo:hi] for v, (lo, hi) in zip(values, ranges)]
             revs = _bid_order_revenues(evaluator, a, part, dtype)
             np.multiply(revs, column.weight, out=revs)
             revs = np.broadcast_to(revs, tuple(hi - lo for lo, hi in ranges))

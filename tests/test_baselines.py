@@ -72,6 +72,22 @@ def oracle_instances():
     return out
 
 
+def recursion_cases(int64_overflow):
+    """Instances for the bid-order recursion: the oracle instances, wide
+    bids, each k, ties, a buyer bidding 0 everywhere, no real buyer, and
+    revenues past int64."""
+    ties = make_dataset(2, [(1, (5, 5, 5, 5)), (3, (5, 5, 5, 5)), (2, (5, 5, 5, 5))])
+    wide = [make_dataset(1, [(1, (2**16 - 1, 7, 2**16 - 2))]),
+            make_dataset(2, [(3, (4 * 10**12, 10**12, 3 * 10**12)), (1, (0, 5, 2))])]
+    zero_bidder = make_dataset(2, [(1, (0, 5, 3)), (2, (0, 1, 4)), (1, (0, 4, 4))])
+    by_k = [make_dataset(k, [(1, (6, 2, 9, 2, 4)), (2, (3, 8, 0, 5, 7)), (1, (1, 1, 6, 6, 0))])
+            for k in (1, 2, 3)]
+    no_real = make_dataset(1, [(1, ())])
+    cases = oracle_instances() + wide + by_k + [ties, zero_bidder, no_real, int64_overflow]
+    assert {ds.num_items for ds in cases} == {1, 2, 3}
+    return cases
+
+
 @st.composite
 def tiny_datasets(draw):
     """Up to 4 real buyers (none too), 1-4 auctions, k 1-3, bids 0-6, weights 1-3."""
@@ -184,16 +200,7 @@ class TestBruteForce:
         class product equals the naive re-implementation's, at the
         candidate standing for each class (the uncleared class is the first
         candidate above the bid)."""
-        ties = make_dataset(2, [(1, (5, 5, 5, 5)), (3, (5, 5, 5, 5)), (2, (5, 5, 5, 5))])
-        wide = [make_dataset(1, [(1, (2**16 - 1, 7, 2**16 - 2))]),
-                make_dataset(2, [(3, (4 * 10**12, 10**12, 3 * 10**12)), (1, (0, 5, 2))])]
-        zero_bidder = make_dataset(2, [(1, (0, 5, 3)), (2, (0, 1, 4)), (1, (0, 4, 4))])
-        by_k = [make_dataset(k, [(1, (6, 2, 9, 2, 4)), (2, (3, 8, 0, 5, 7)), (1, (1, 1, 6, 6, 0))])
-                for k in (1, 2, 3)]
-        no_real = make_dataset(1, [(1, ())])
-        cases = oracle_instances() + wide + by_k + [ties, zero_bidder, no_real, int64_overflow]
-        assert {ds.num_items for ds in cases} == {1, 2, 3}
-        for ds in cases:
+        for ds in recursion_cases(int64_overflow):
             evaluator = batch_evaluator(ds)
             dtype = np.dtype(object if evaluator.dtype is object
                              else np.min_scalar_type(evaluator.bound))
@@ -201,13 +208,33 @@ class TestBruteForce:
             aux = (0,) * (ds.num_items + 1)
             for a, column in enumerate(ds.auctions):
                 cleared = [bisect.bisect_right(c, bid) for c, bid in zip(cands, column.bids)]
-                part = [(np.array(c[:m], dtype=dtype), m < len(c)) for c, m in zip(cands, cleared)]
+                part = [np.array(c[: m + 1], dtype=dtype) for c, m in zip(cands, cleared)]
                 revs = baselines._bid_order_revenues(evaluator, a, part, dtype)
-                shape = tuple(m + unc for m, (_, unc) in zip(cleared, part))
+                shape = tuple(len(r) for r in part)
                 revs = np.broadcast_to(revs, shape)
                 for entry in np.ndindex(shape):
                     reserves = tuple(c[i] for c, i in zip(cands, entry)) + aux
                     assert revs[entry] == naive_outcome(column.bids, reserves, ds.num_items)[3]
+
+    def test_any_reserve_above_the_bid_stands_for_the_uncleared_class(self, int64_overflow):
+        """The recursion's revenues do not change when the uncleared class's
+        reserve, the first candidate above the bid, becomes bid + 1 or 2^62."""
+        for ds in recursion_cases(int64_overflow):
+            evaluator = batch_evaluator(ds)
+            dtype = np.dtype(evaluator.dtype)  # int64 or object: both hold 2^62
+            cands = _candidate_reserves(ds, grid_of(ds))
+            for a, column in enumerate(ds.auctions):
+                cleared = [bisect.bisect_right(c, bid) for c, bid in zip(cands, column.bids)]
+
+                def revenues(uncleared):  # (candidates, cleared, bid) -> [] or [reserve]
+                    part = [np.array(c[:m] + uncleared(c, m, bid), dtype=dtype)
+                            for c, m, bid in zip(cands, cleared, column.bids)]
+                    revs = baselines._bid_order_revenues(evaluator, a, part, dtype)
+                    return np.broadcast_to(revs, tuple(map(len, part))).tolist()
+
+                first = revenues(lambda c, m, bid: c[m : m + 1])
+                assert revenues(lambda c, m, bid: [bid + 1] * (m < len(c))) == first
+                assert revenues(lambda c, m, bid: [2**62] * (m < len(c))) == first
 
     def test_slabs_stay_within_chunk(self, monkeypatch):
         """Brute force's recursion never sees more than ``auction.CHUNK``
@@ -221,7 +248,7 @@ class TestBruteForce:
         default = auction.CHUNK
 
         def recording_recursion(evaluator, auction_index, part, dtype):
-            classes.append(math.prod(len(r) + unc for r, unc in part))
+            classes.append(math.prod(len(r) for r in part))
             return recursion(evaluator, auction_index, part, dtype)
 
         def recording_gather(revs, *args):
@@ -291,6 +318,18 @@ class TestGreedy:
         ds = bad_example(BadExampleSpec(k=2))
         _, rev = greedy_reserves(ds, grid_of(ds))
         assert rev >= 11
+
+
+@pytest.mark.parametrize("weight", [2**63, 2**64])
+def test_huge_weight_on_all_zero_auction(weight):
+    """An all-zero auction pays nothing whatever its weight, so adding one
+    with a weight past int64 changes no result (it once raised OverflowError)."""
+    plain = make_dataset(1, [(1, (3, 2))])
+    padded = make_dataset(1, [(1, (3, 2)), (weight, (0, 0))])
+    for reserves in [(0, 0, 0, 0), (3, 0, 0, 0), (3, 3, 0, 0)]:
+        assert revenue(padded, reserves) == revenue(plain, reserves)
+    for method in (brute_force_opt, greedy_reserves):
+        assert method(padded, grid_of(padded)) == method(plain, grid_of(plain))
 
 
 class TestBadExample:

@@ -480,6 +480,31 @@ class TestExitCodes:
             assert run(["solve", "--dataset", str(path)]) == cli.EXIT_VALIDATION, data
             assert error in capsys.readouterr().err, data
 
+    def test_edge_datasets_end_in_documented_exits(self, tmp_path):
+        """Money past int64, no buyers and more items than buyers: every
+        pipeline command ends in exit 0, 2 or 3, with no exception escaping."""
+        def dataset(num_items, columns, buyers=2):
+            return {"num_items": num_items, "buyers": [f"b{i}" for i in range(buyers)],
+                    "auctions": [{"weight": str(w), "bids": [str(b) for b in bids]}
+                                 for w, bids in columns]}
+
+        cases = {
+            "bid 2^63": dataset(1, [(1, (2**63, 5))]),
+            "bids past 2^64": dataset(2, [(1, (2**66, 2**70, 3)), (2, (2**68, 0, 2**67))],
+                                      buyers=3),
+            "weight 2^63, zero bids": dataset(1, [(1, (3, 2)), (2**63, (0, 0))]),
+            "weight 2^64, every bid 0": dataset(1, [(2**64, (0, 0))]),
+            "no buyers": dataset(1, [(1, ())], buyers=0),
+            "more items than buyers": dataset(3, [(1, (4, 1)), (2, (2, 2))]),
+        }
+        path, out = tmp_path / "edge.json", str(tmp_path / "out.json")
+        for name, data in cases.items():
+            path.write_text(json.dumps(data))
+            for command in ("solve", "round", "bench", "probe"):
+                code = run([command, "--dataset", str(path), "--out", out])
+                assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_SIZE_GUARD), (
+                    name, command, code)
+
     def test_io_errors(self, dataset_file, tmp_path, capsys):
         assert run(["solve", "--dataset", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert run(["solve", "--dataset", dataset_file,
